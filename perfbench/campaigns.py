@@ -41,23 +41,24 @@ from layers import campaign_layers, dispatch_layers, post_layers, service_counte
 from ops import InProcessTransport, OpLog, expected_summary, fetch_campaign, reanalyse
 from spans import Instrumentation, SpanRecorder
 
-#: Nominal seconds of one campaign plus its served operations on the
-#: reference host (2-core x86 VM).  A run measures
-#: ``round(seconds / nominal)`` campaigns, so the work, the sample counts
-#: and the tail percentiles are the same in every run.
-NOMINAL_CAMPAIGN_S = {"fig2_fixed": 3.5, "fig2_varied": 2.2, "contention": 3.2}
+#: A run measures one campaign per this many seconds of ``--seconds``
+#: (at least ``MIN_CAMPAIGNS``), so the work, the sample counts and the
+#: tail percentiles are the same in every run.  Campaign wall-clock
+#: varies by 10-20% from one campaign to the next on the reference host,
+#: so ``runs_per_s`` needs several campaigns per run.
+SECONDS_PER_CAMPAIGN = 2.0
 MIN_CAMPAIGNS = 3
 #: Cache hits, and re-analyses, served after each campaign; more where
 #: they take a millisecond or two.
-SERVED_PER_CAMPAIGN = {"fig2_fixed": 10, "fig2_varied": 40, "contention": 10}
+SERVED_PER_CAMPAIGN = {"fig2_fixed": 6, "fig2_varied": 40, "contention": 6}
 #: Run indices re-executed on the other backend by the correctness check.
 CHECK_SLICE = {"fig2_fixed": 4, "fig2_varied": 2, "contention": 8}
 
 Campaign = Tuple[Any, Any, float]  # (request, execution, wall-clock seconds)
 
 
-def campaign_count(workload: str, seconds: float) -> int:
-    return max(MIN_CAMPAIGNS, round(seconds / NOMINAL_CAMPAIGN_S[workload]))
+def campaign_count(seconds: float) -> int:
+    return max(MIN_CAMPAIGNS, round(seconds / SECONDS_PER_CAMPAIGN))
 
 
 def timed_campaign(request: Any) -> Tuple[Any, float]:
@@ -71,13 +72,13 @@ def timed_campaign(request: Any) -> Tuple[Any, float]:
 class Storefront:
     """An in-process campaign service that serves measured campaigns."""
 
-    def __init__(self, store: str, served: int) -> None:
+    def __init__(self, store: str, served: int, host: HostSpeed) -> None:
         from repro.service.server import CampaignService
 
         self.served = served
         self.service = CampaignService(store)
         self.transport = InProcessTransport(self.service)
-        self.log = OpLog()
+        self.log = OpLog(host)
         self.mismatches = 0
 
     def serve(
@@ -174,8 +175,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     host = HostSpeed()
 
     def between() -> None:
-        host.probe()
         gc.collect()
+        host.probe()
 
     setups: List[Tuple[float, Dict[str, float]]] = []
     campaign_rec = SpanRecorder()
@@ -185,9 +186,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     instructions: List[int] = []
 
     with tempfile.TemporaryDirectory(dir=TMP_ROOT) as store:
-        storefront = Storefront(store, SERVED_PER_CAMPAIGN[workload])
+        storefront = Storefront(store, SERVED_PER_CAMPAIGN[workload], host)
         try:
-            for index in range(campaign_count(workload, seconds)):
+            # A traced run pairs every campaign, so it measures fewer.
+            count = MIN_CAMPAIGNS if trace else campaign_count(seconds)
+            for index in range(count):
                 request = campaign_request(workload, seeds.next())
                 # A traced run pairs each traced campaign with an untraced
                 # one of the same request, alternating which goes first.
@@ -246,8 +249,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         result.timing("runs_per_s", runs * len(walls[False]) / sum(walls[False]),
                       "1/s", len(walls[False]), f"{runs} runs per campaign")
         result.latency("miss", walls[False], tail=False)
-        result.latency("hit", log.latency_s["hit"], tail=True)
-        result.latency("reanalyse", log.latency_s["reanalyse"], tail=True)
+        for kind in ("hit", "reanalyse"):
+            result.latency(kind, log.latency_s[kind], tail=True,
+                           host=log.host_at[kind])
         result.timing("service_ops_per_s", log.ops / log.busy_s, "1/s", log.ops)
         return result
 

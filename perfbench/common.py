@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -53,7 +54,7 @@ CAMPAIGNS: Dict[str, Dict[str, Any]] = {
 WARMUP_RUNS = {"fig2_fixed": 16, "fig2_varied": 1, "contention": 16, "service": 16}
 
 #: Fresh-process set-ups per run; ``setup_s`` is their median.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 
 THREAD_VARIABLES = (
     "OMP_NUM_THREADS",
@@ -226,33 +227,42 @@ def _reference_work() -> None:
 class HostSpeed:
     """How slow the host runs now, from a fixed reference workload.
 
-    The reference host's speed drifts by 20-40% between runs, and every
-    timing of a run moves with it.  A run times the reference between
-    its operations, at most every ``PROBE_EVERY_S``; the median over
-    ``NOMINAL_S`` is the run's host index.  End-to-end timings are
-    reported divided by it (rates multiplied): in units of the reference
-    host at nominal speed.
+    The reference host switches between a fast and a slow state (the
+    reference takes 2.5-3 ms or 4.5-5 ms) within a second, and the share
+    of slow time drifts between runs, so every timing of a run moves
+    with it.  A run times the reference before each operation.  An
+    operation shorter than a speed state is divided by the probe just
+    before it (:attr:`last`); longer ones by the run's mean
+    (:attr:`index`), the share of slow time over the run.  Both read in
+    units of the reference host at ``NOMINAL_S``.
     """
 
-    #: Median reference time on the reference host at nominal speed.
+    #: Mean reference time on the reference host.
     NOMINAL_S = 0.0038
-    PROBE_EVERY_S = 0.5
 
     def __init__(self) -> None:
         self.samples: List[float] = []
-        self._last = -math.inf
 
     def probe(self) -> None:
-        now = time.perf_counter()
-        if now - self._last < self.PROBE_EVERY_S:
-            return
-        _reference_work()
-        self._last = time.perf_counter()
-        self.samples.append(self._last - now)
+        """Time the reference work with the collector off, so the size of
+        the program's heap cannot move the index."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            _reference_work()
+            self.samples.append(time.perf_counter() - started)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @property
+    def last(self) -> float:
+        return self.samples[-1] / self.NOMINAL_S
 
     @property
     def index(self) -> float:
-        return statistics.median(self.samples) / self.NOMINAL_S
+        return statistics.fmean(self.samples) / self.NOMINAL_S
 
 
 def peak_rss_mb_self() -> float:
@@ -296,16 +306,28 @@ class Result:
         value = raw * self.host_index if unit == "1/s" else raw / self.host_index
         self.metric(name, value, unit, n, f"raw {raw:.6g}  {note}".rstrip())
 
-    def latency(self, prefix: str, seconds: Sequence[float], tail: bool) -> None:
-        """``<prefix>_p50_ms`` and, with ``tail``, ``<prefix>_tail_ms``."""
-        values = [s * 1000.0 for s in seconds]
-        self.timing(f"{prefix}_p50_ms", statistics.median(values), "ms", len(values))
+    def latency(
+        self, prefix: str, seconds: Sequence[float], tail: bool,
+        host: Optional[Sequence[float]] = None,
+    ) -> None:
+        """``<prefix>_p50_ms`` and, with ``tail``, ``<prefix>_tail_ms``.
+
+        With ``host`` (one host index per sample, see :class:`HostSpeed`)
+        each sample is normalized by its own index, else by the run's.
+        """
+        raw = [s * 1000.0 for s in seconds]
+        scale = host if host is not None else [self.host_index] * len(raw)
+        values = [ms / index for ms, index in zip(raw, scale)]
+        note = "per-operation host index" if host is not None else ""
+
+        def put(name: str, pick: Any, extra: str) -> None:
+            self.metric(name, pick(values), "ms", len(values),
+                        f"raw {pick(raw):.6g}  {extra} {note}".rstrip())
+
+        put(f"{prefix}_p50_ms", statistics.median, "")
         if tail:
             q = tail_percentile(len(values))
-            self.timing(
-                f"{prefix}_tail_ms", percentile(values, q), "ms", len(values),
-                f"p{q:.1f}",
-            )
+            put(f"{prefix}_tail_ms", lambda v: percentile(v, q), f"p{q:.1f}")
 
     def fail(self, message: str, count: int = 1) -> None:
         self.failed += count

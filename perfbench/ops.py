@@ -10,15 +10,19 @@ re-analysis (one ``POST /campaigns/{id}/analyses``).
 from __future__ import annotations
 
 import json
+import random
 import time
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Job polling interval over HTTP: well below the ~60 ms cache-hit
-#: latency, so waits are not quantized to the poll period, yet slow
-#: enough that the polls do not starve the job they wait for of the
-#: daemon's interpreter lock (3 ms polls slowed hits by a third).
-POLL_INTERVAL_S = 0.010
+#: Job polling over HTTP sleeps this share of the time waited so far,
+#: and at least ``MIN_POLL_S``.  A poll costs ~3 ms of round trip, so
+#: cache hits (~15 ms) see a poll every ~5 ms, while a cold campaign
+#: (~1.3 s) is polled ~60 times, not ~250, and its end is seen at most
+#: 2% late.  A fixed interval near the hit latency would see every hit
+#: end on the same poll, hiding the job's own time.
+POLL_FRACTION = 0.02
+MIN_POLL_S = 0.002
 JOB_TIMEOUT_S = 120.0
 
 
@@ -61,11 +65,14 @@ class InProcessTransport:
 class HttpTransport:
     """One closed-loop ``ServiceClient``; times every request it makes."""
 
-    def __init__(self, url: str) -> None:
+    def __init__(self, url: str, rng: random.Random) -> None:
         from repro.service.client import ServiceClient
 
         self.client = ServiceClient(url, timeout=JOB_TIMEOUT_S)
         self.client_s: Dict[str, float] = defaultdict(float)
+        self.rng = rng
+        #: Seconds from one poll to the next at the shortest interval.
+        self.poll_cycle = MIN_POLL_S
 
     def _timed(self, label: str, fn: Any, *args: Any) -> Any:
         started = time.perf_counter()
@@ -79,17 +86,28 @@ class HttpTransport:
         return str(reply["job"]["id"])
 
     def wait(self, job_id: str) -> int:
+        """Poll until the job is done; returns the number of polls.
+
+        The first poll waits a random share of one poll cycle, so the
+        delay in seeing a job end is uniform rather than set by a grid
+        that starts at submission: hits whose job time sits near a grid
+        step would otherwise split between two latencies.
+        """
+        started = time.perf_counter()
+        time.sleep(self.rng.uniform(0.0, self.poll_cycle))
         polls = 0
-        deadline = time.perf_counter() + JOB_TIMEOUT_S
         while True:
+            polled = time.perf_counter()
             snapshot = self._timed("GET /campaigns/{id}", self.client.job, job_id)
+            self.poll_cycle = MIN_POLL_S + time.perf_counter() - polled
             polls += 1
             state = snapshot.get("state")
             if state == "done":
                 return polls
-            if state == "failed" or time.perf_counter() > deadline:
+            waited = time.perf_counter() - started
+            if state == "failed" or waited > JOB_TIMEOUT_S:
                 raise OpFailed(f"{job_id} {state}: {snapshot.get('error')}")
-            time.sleep(POLL_INTERVAL_S)
+            time.sleep(max(MIN_POLL_S, waited * POLL_FRACTION))
 
     def artifact_text(self, job_id: str) -> str:
         return str(
@@ -106,10 +124,16 @@ class HttpTransport:
 
 
 class OpLog:
-    """Latencies, waits and failures of one closed loop, by op kind."""
+    """Latencies, waits and failures of one closed loop, by op kind.
 
-    def __init__(self) -> None:
+    With ``host`` (a ``HostSpeed`` probed just before each operation in
+    this process), each latency is kept with the host index it ran at.
+    """
+
+    def __init__(self, host: Any = None) -> None:
+        self.host = host
         self.latency_s: Dict[str, List[float]] = defaultdict(list)
+        self.host_at: Dict[str, List[float]] = defaultdict(list)
         self.wait_s: Dict[str, List[float]] = defaultdict(list)
         self.polls: Dict[str, List[int]] = defaultdict(list)
         self.attempted = 0
@@ -123,6 +147,11 @@ class OpLog:
     def busy_s(self) -> float:
         """Time spent inside operations."""
         return sum(sum(values) for values in self.latency_s.values())
+
+    def record(self, kind: str, seconds: float) -> None:
+        self.latency_s[kind].append(seconds)
+        if self.host is not None:
+            self.host_at[kind].append(self.host.last)
 
 
 def fetch_campaign(
@@ -140,7 +169,7 @@ def fetch_campaign(
     except (OpFailed, OSError, KeyError, ValueError) as exc:
         log.errors.append(f"{kind}: {exc}")
         return None
-    log.latency_s[kind].append(time.perf_counter() - started)
+    log.record(kind, time.perf_counter() - started)
     log.wait_s[kind].append(finished - submitted)
     log.polls[kind].append(polls)
     return job_id, text
@@ -157,7 +186,7 @@ def reanalyse(
     except (OpFailed, OSError, KeyError, ValueError) as exc:
         log.errors.append(f"reanalyse: {exc}")
         return None
-    log.latency_s["reanalyse"].append(time.perf_counter() - started)
+    log.record("reanalyse", time.perf_counter() - started)
     return summary
 
 

@@ -12,6 +12,7 @@ the traced run replays the same requests in-process through
 
 from __future__ import annotations
 
+import random
 import re
 import select
 import signal
@@ -60,35 +61,31 @@ from spans import Instrumentation, SpanRecorder
 #: Cache hits per round (each round also holds one miss and one
 #: re-analysis sweep).
 HITS_PER_ROUND = 4
-#: Rounds are sized from ``--seconds`` at this nominal round length, so
+#: A run holds one round per this many seconds of ``--seconds``, so
 #: every run holds the same operations and tail percentiles are fixed.
 #: Re-analysis cost depends on the campaign's samples, so many short
 #: rounds (many campaigns) give steadier latencies than a few long ones.
-NOMINAL_ROUND_S = 1.2
+NOMINAL_ROUND_S = 1.0
 MIN_ROUNDS = 6
 TRACE_ROUNDS = 4
 READY_TIMEOUT_S = 60.0
 
 
 def reanalysis_sweep() -> List[Any]:
-    """Every estimator with both bootstrap kinds, plus GEV and POT
-    without a band.
+    """Every estimator with both bootstrap kinds and a 95% band.
 
-    Block-maxima Gumbel and ``auto`` cost 20-50 ms depending on the
-    sample (the GEV shape test iterates); GEV and POT fits cost ~2 ms on
-    any sample.  Six cheap requests in ten put the median among the
-    cheap ones and the tail among the sample-dependent ones, so neither
-    sits on the boundary between the two groups.
+    GEV and POT fits cost ~2 ms on any sample; block-maxima Gumbel costs
+    15-30 ms depending on the sample, and ``auto`` costs either,
+    depending on the estimator it selects for the sample.
     """
     from repro.api.requests import AnalysisRequest
     from repro.core.analysis import BOOTSTRAP_KINDS
 
-    sweep = [
+    return [
         AnalysisRequest(method=method, ci=0.95, bootstrap_kind=kind)
         for method in ("block-maxima-gumbel", "gev", "pot-gpd", "auto")
         for kind in BOOTSTRAP_KINDS
     ]
-    return sweep + [AnalysisRequest(method="gev"), AnalysisRequest(method="pot-gpd")]
 
 
 class Server:
@@ -230,7 +227,7 @@ def http_phase(
                 if index < setups - 1:
                     servers[-1].stop()
             server = servers[-1]
-            transport = HttpTransport(server.url)
+            transport = HttpTransport(server.url, random.Random(seeds.next()))
             warmup = campaign_request("service", seeds.next(), analysis=band_analysis())
             if fetch_campaign(transport, warmup, OpLog(), "miss") is None:
                 raise RuntimeError("warm-up campaign failed")
@@ -293,7 +290,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         result.timing("setup_s", statistics.median(http["setup"]), "s",
                       len(http["setup"]), "spawn until /healthz answers")
         result.metric("peak_rss_mb", http["rss"], "MB", 1, "server process")
-        result.timing("runs_per_s", statistics.median(runs / s for s in misses),
+        result.timing("runs_per_s", runs * len(misses) / sum(misses),
                       "1/s", len(misses), f"{runs}-run cold campaigns")
         result.timing("service_ops_per_s", log.ops / log.busy_s, "1/s", log.ops)
         result.latency("miss", misses, tail=False)
