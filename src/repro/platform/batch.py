@@ -9,7 +9,7 @@ computation so it is paid once per *trace*: all ``R`` replications
 advance through the trace together, with numpy arrays holding the
 per-run divergent state —
 
-* cache tag stores ``(R, sets, ways)`` and TLB entry stores ``(R,
+* cache tag stores ``(R, sets, ways)`` and TLB entry stores ``(R, 1,
   entries)``,
 * the per-run LFSR states of the platform PRNG (victim draws advance
   only the lanes that actually miss into a full set, so every run
@@ -21,6 +21,27 @@ Everything *trace-pure* — fetch/line/page locality, pipeline hazards,
 FPU latencies — is precompiled once per trace into an event list with
 static-cost gaps, so only instructions that touch per-run state (fetch
 probes on new lines, loads, stores) cost vector work.
+
+One component set, two forms
+----------------------------
+
+The hardware models in this module (caches, TLBs, replacement
+policies, bus, DRAM controller, store buffer) serve both vectorized
+engines.  Each lane is one replication here and one (scheduled core,
+replication) *superlane* in the co-scheduled engine
+(:mod:`repro.platform.batch_concurrent`).  The components offer two
+access forms over the same state:
+
+* the *broadcast* form takes one address for every lane — single-core
+  lanes all sit at the same trace index, so an event is one scalar
+  address (and placement is memoized per line);
+* the *index* form takes arrays of unique lane indices with per-lane
+  addresses — co-scheduled lanes diverge, and each event touches only
+  the lanes whose core executes it.
+
+Both forms share the tag stores, the fill path, the replacement state
+and the counters that ``stats_for`` reads, so a fast path or a fix
+lands in both engines at once.
 
 Bit-identity contract
 ---------------------
@@ -42,9 +63,7 @@ platform consumes the per-run seed.
 
 Unsupported shapes — tree-PLRU replacement on a randomized platform,
 or numpy missing — raise :class:`BatchUnsupported`; callers
-(:mod:`repro.api.backend`) fall back to the scalar path, as they do
-for multicore co-scheduled scenarios, which this engine deliberately
-does not model.
+(:mod:`repro.api.backend`) fall back to the scalar path.
 """
 
 from __future__ import annotations
@@ -53,16 +72,16 @@ import os
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .bus import BusConfig
+from .bus import BusConfig, BusStats
 from .cache import CacheConfig, CacheStats
 from .core import _FP_OPS, CoreConfig, RunResult
 from .fpu import Fpu, FpuStats
-from .memory import MemoryConfig
+from .memory import MemoryConfig, MemoryStats
 from .pipeline import PipelineModel, PipelineStats
 from .prng import CombinedLfsrPrng, Lfsr, SplitMix64, derive_seed
-from .soc import Platform
+from .soc import Platform, PlatformConfig
 from .tlb import TlbConfig, TlbStats
 from .trace import InstrKind, Trace
 
@@ -120,15 +139,21 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def batch_unsupported_reason(
-    platform: Platform, core_id: int = 0
+def _cores_unsupported_reason(
+    cfg: PlatformConfig, core_ids: Sequence[int]
 ) -> Optional[str]:
-    """Why ``platform`` cannot be batch-executed (None = supported)."""
-    cfg = platform.config
-    if not 0 <= core_id < cfg.num_cores:
-        return f"core_id {core_id} out of range [0, {cfg.num_cores})"
-    if core_id >= cfg.bus.num_masters:
-        return f"core_id {core_id} is not a bus master"
+    """Why one of ``core_ids`` cannot issue on ``cfg`` (None = all can)."""
+    for core_id in core_ids:
+        if not 0 <= core_id < cfg.num_cores:
+            return f"core_id {core_id} out of range [0, {cfg.num_cores})"
+        if core_id >= cfg.bus.num_masters:
+            return f"core_id {core_id} is not a bus master"
+    return None
+
+
+def _policy_unsupported_reason(cfg: PlatformConfig) -> Optional[str]:
+    """Why the vectorized components cannot model ``cfg``'s per-core
+    policies (None = they can).  Shared by both engines."""
     if not cfg.is_randomized:
         # Deterministic platform: the degenerate path needs no numpy.
         return None
@@ -146,72 +171,86 @@ def batch_unsupported_reason(
     return None
 
 
+def batch_unsupported_reason(
+    platform: Platform, core_id: int = 0
+) -> Optional[str]:
+    """Why ``platform`` cannot be batch-executed (None = supported)."""
+    cfg = platform.config
+    reason = _cores_unsupported_reason(cfg, (core_id,))
+    return reason or _policy_unsupported_reason(cfg)
+
+
 # ----------------------------------------------------------------------
 # Trace compilation (trace-pure preprocessing, shared by all runs)
 # ----------------------------------------------------------------------
 
-#: Event memory kinds.
-_EV_NONE, _EV_LOAD, _EV_STORE = 0, 1, 2
+#: Memory kinds of a compiled instruction (the scalar LOAD/STORE split).
+_MK_NONE, _MK_LOAD, _MK_STORE = 0, 1, 2
+
+#: Number of pipeline/FPU counters in a lane table's prefix rows.
+_STAT_FIELDS = 9
+
+#: Per-instruction row of :func:`_compile_pass`: ``(fetch_pc,
+#: itlb_page, cost, mem_kind, mem_addr, dtlb_page)``.
+_Row = Tuple[int, int, int, int, int, int]
+_Locality = Tuple[int, int, int]
+
+_T = TypeVar("_T")
 
 
-@dataclass
-class _CompiledSegment:
-    """One trace reduced to its per-run-divergent events.
+def _memoized(
+    cache: "OrderedDict[Any, Any]",
+    size: int,
+    trace: Trace,
+    core_cfg: CoreConfig,
+    build: Callable[[], _T],
+    *extra: Any,
+) -> _T:
+    """Identity-keyed LRU memo of ``build()`` for one (trace, core
+    config) pair plus hashable ``extra`` key parts.
 
-    ``events`` tuples are ``(gap, fetch_pc, itlb_page, mem_kind, addr,
-    dtlb_page, pre_cost)``: ``gap`` is the static cycle cost since the
-    previous event (pipeline + FPU of the instructions in between,
-    including the post-fetch cost of fetch-only events), ``fetch_pc``
-    is the fetched byte address when the instruction probes the IL1
-    (-1 otherwise), ``itlb_page``/``dtlb_page`` are the virtual pages
-    probed on page changes (-1 otherwise) and ``pre_cost`` is the
-    event instruction's own pipeline cost, charged between its fetch
-    and its data access exactly as the scalar interpreter does.
+    The cached entry keeps strong references to the trace and config,
+    so the ``is`` check on lookup makes id reuse after garbage
+    collection impossible while an entry lives.  Compilation costs about
+    one scalar pass over the trace; campaigns build one engine per
+    index block, group and shard, so without the memo each would
+    recompile the same traces.
     """
-
-    events: List[Tuple[int, int, int, int, int, int, int]]
-    tail: int
-    length: int
-    pipeline: PipelineStats
-    fpu: FpuStats
-
-
-#: Memoized compiled segments.  Keyed by object identity of the
-#: (trace, core config) pair; the cached value keeps strong references
-#: to both, so an ``is`` check on lookup makes id-reuse after garbage
-#: collection impossible while an entry lives.  Compilation costs about
-#: one scalar pass over the trace — without the memo, adaptive batch
-#: campaigns (which build one engine per index block) and sharded
-#: campaigns would pay it once per block/shard instead of once per
-#: trace.
-_SEGMENT_CACHE: "OrderedDict" = OrderedDict()
-_SEGMENT_CACHE_SIZE = 256
+    key = (id(trace), id(core_cfg)) + extra
+    entry = cache.get(key)
+    if entry is not None and entry[0] is trace and entry[1] is core_cfg:
+        cache.move_to_end(key)
+        value: _T = entry[2]
+        return value
+    value = build()
+    cache[key] = (trace, core_cfg, value)
+    cache.move_to_end(key)
+    while len(cache) > size:
+        cache.popitem(last=False)
+    return value
 
 
-def _compiled_segment(trace: Trace, core_cfg: CoreConfig) -> "_CompiledSegment":
-    """Memoizing wrapper around :func:`_compile_segment`."""
-    key = (id(trace), id(core_cfg))
-    entry = _SEGMENT_CACHE.get(key)
-    if entry is not None:
-        cached_trace, cached_cfg, compiled = entry
-        if cached_trace is trace and cached_cfg is core_cfg:
-            _SEGMENT_CACHE.move_to_end(key)
-            return compiled
-    compiled = _compile_segment(trace, core_cfg)
-    _SEGMENT_CACHE[key] = (trace, core_cfg, compiled)
-    _SEGMENT_CACHE.move_to_end(key)
-    while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_SIZE:
-        _SEGMENT_CACHE.popitem(last=False)
-    return compiled
+def _compile_pass(
+    trace: Trace,
+    core_cfg: CoreConfig,
+    locality: _Locality,
+    prefix: Optional[Any] = None,
+) -> Tuple[List[_Row], _Locality, PipelineStats, FpuStats]:
+    """One pass over ``trace``: locality, pipeline and FPU per instruction.
 
+    ``locality`` is the ``(line, itlb page, dtlb page)`` state the pass
+    starts from (``(-1, -1, -1)`` for a fresh
+    :class:`~repro.platform.core.CoreStepper`).  Row ``i`` holds
+    ``fetch_pc`` — the fetched byte address when the instruction probes
+    the IL1, else -1 — the ITLB/DTLB pages probed on page changes (-1
+    otherwise), the instruction's pipeline cost (plus FPU extra cycles
+    for non-memory instructions), its memory kind and the LOAD/STORE
+    byte address.  When ``prefix`` is given, ``prefix[i + 1]`` receives
+    the nine pipeline/FPU counters after ``i + 1`` instructions.
 
-def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
-    """Fold the trace-pure costs of ``trace`` into an event list.
-
-    Reuses the real :class:`PipelineModel` and :class:`Fpu` so per-
-    instruction costs (and their stats) are the scalar ones by
-    construction.  Locality state (line buffer, micro-TLBs) restarts
-    per segment, matching a fresh :class:`CoreStepper`.
+    Reuses the real :class:`PipelineModel` and :class:`Fpu` so costs
+    and statistics are the scalar ones by construction; both oracles
+    are stateless given the trace fields, so every pass costs the same.
     """
     pipeline = PipelineModel(core_cfg.pipeline)
     fpu = Fpu(core_cfg.fpu)
@@ -221,6 +260,8 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
     load_kind = int(InstrKind.LOAD)
     store_kind = int(InstrKind.STORE)
     fp_ops = _FP_OPS
+    pl = pipeline.stats
+    fp = fpu.stats
 
     kinds = trace.kinds
     pcs = trace.pcs
@@ -229,11 +270,8 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
     deps = trace.dep_distances
     takens = trace.takens
 
-    events: List[Tuple[int, int, int, int, int, int, int]] = []
-    gap = 0
-    last_iline = -1
-    last_ipage = -1
-    last_dpage = -1
+    last_iline, last_ipage, last_dpage = locality
+    rows: List[_Row] = []
     for i in range(len(kinds)):
         kind = kinds[i]
         pc = pcs[i]
@@ -256,25 +294,156 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
                 dtlb_page = dpage
             else:
                 dtlb_page = -1
-            mem_kind = _EV_LOAD if kind == load_kind else _EV_STORE
-            events.append(
-                (gap, fetch_pc, itlb_page, mem_kind, addr, dtlb_page, pipe)
-            )
-            gap = 0
+            mem_kind = _MK_LOAD if kind == load_kind else _MK_STORE
+            rows.append((fetch_pc, itlb_page, pipe, mem_kind, addr, dtlb_page))
         else:
             fp_op = fp_ops.get(kind)
-            extra = fpu.latency(fp_op, op_classes[i]) - 1 if fp_op is not None else 0
-            if fetch_pc >= 0:
-                events.append((gap, fetch_pc, itlb_page, _EV_NONE, -1, -1, 0))
-                gap = pipe + extra
-            else:
-                gap += pipe + extra
+            if fp_op is not None:
+                pipe += fpu.latency(fp_op, op_classes[i]) - 1
+            rows.append((fetch_pc, itlb_page, pipe, _MK_NONE, -1, -1))
+        if prefix is not None:
+            prefix[i + 1] = (
+                pl.instructions,
+                pl.base_cycles,
+                pl.branch_bubbles,
+                pl.load_use_stalls,
+                pl.long_op_stalls,
+                fp.ops,
+                fp.div_ops,
+                fp.sqrt_ops,
+                fp.total_cycles,
+            )
+    return rows, (last_iline, last_ipage, last_dpage), pl, fp
+
+
+@dataclass
+class _CompiledSegment:
+    """One trace reduced to its per-run-divergent events.
+
+    ``events`` tuples are ``(gap, fetch_pc, itlb_page, mem_kind, addr,
+    dtlb_page, pre_cost)``: ``gap`` is the static cycle cost since the
+    previous event (pipeline + FPU of the instructions in between,
+    including the post-fetch cost of fetch-only events), the probe
+    columns are those of :func:`_compile_pass` and ``pre_cost`` is the
+    event instruction's own pipeline cost, charged between its fetch
+    and its data access exactly as the scalar interpreter does.
+    """
+
+    events: List[Tuple[int, int, int, int, int, int, int]]
+    tail: int
+    length: int
+    pipeline: PipelineStats
+    fpu: FpuStats
+
+
+#: Memoized compiled segments (see :func:`_memoized`).
+_SEGMENT_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
+_SEGMENT_CACHE_SIZE = 256
+
+
+def _compiled_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
+    """Memoizing wrapper around :func:`_compile_segment`."""
+    return _memoized(
+        _SEGMENT_CACHE,
+        _SEGMENT_CACHE_SIZE,
+        trace,
+        core_cfg,
+        lambda: _compile_segment(trace, core_cfg),
+    )
+
+
+def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
+    """Fold the per-instruction rows of ``trace`` into an event list.
+
+    Locality restarts per segment, matching a fresh
+    :class:`~repro.platform.core.CoreStepper`.
+    """
+    rows, _, pipeline, fpu = _compile_pass(trace, core_cfg, (-1, -1, -1))
+    events: List[Tuple[int, int, int, int, int, int, int]] = []
+    gap = 0
+    for fetch_pc, itlb_page, cost, mem_kind, addr, dtlb_page in rows:
+        if mem_kind != _MK_NONE:
+            events.append((gap, fetch_pc, itlb_page, mem_kind, addr, dtlb_page, cost))
+            gap = 0
+        elif fetch_pc >= 0:
+            events.append((gap, fetch_pc, itlb_page, _MK_NONE, -1, -1, 0))
+            gap = cost
+        else:
+            gap += cost
     return _CompiledSegment(
         events=events,
         tail=gap,
-        length=len(kinds),
-        pipeline=replace(pipeline.stats),
-        fpu=replace(fpu.stats),
+        length=len(rows),
+        pipeline=pipeline,
+        fpu=fpu,
+    )
+
+
+@dataclass
+class _LaneTable:
+    """One trace compiled to per-index facts for gather-based execution.
+
+    ``rows[j]`` is row ``j`` of :func:`_compile_pass`.  Looping traces
+    carry two regions — ``[0, length)`` compiled cold, ``[length,
+    2*length)`` with the locality state carried over the wrap — plus
+    the wrap target; non-looping traces end in one inert padding row so
+    finished lanes gather in-bounds.  ``prefix[n]`` holds the nine
+    pipeline/FPU counters after ``n`` instructions of one pass
+    (``totals`` after a full pass); both are pass-independent because
+    the pipeline and FPU cost oracles are stateless given the trace
+    fields.
+    """
+
+    rows: Any
+    prefix: Any
+    totals: Any
+    length: int
+    looping: bool
+
+
+#: Memoized lane tables (see :func:`_memoized`).
+_LANE_TABLE_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
+_LANE_TABLE_CACHE_SIZE = 128
+
+
+def _lane_table(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _LaneTable:
+    """Memoizing wrapper around :func:`_compile_lane_table`."""
+    return _memoized(
+        _LANE_TABLE_CACHE,
+        _LANE_TABLE_CACHE_SIZE,
+        trace,
+        core_cfg,
+        lambda: _compile_lane_table(trace, core_cfg, looping),
+        looping,
+    )
+
+
+def _compile_lane_table(
+    trace: Trace, core_cfg: CoreConfig, looping: bool
+) -> _LaneTable:
+    """Stack the per-instruction rows of ``trace`` into a gather table
+    (see :class:`_LaneTable`)."""
+    np = _np
+    length = len(trace)
+    looping = looping and length > 0
+    prefix = np.zeros((length + 1, _STAT_FIELDS), dtype=np.int64)
+    rows, end_locality, _, _ = _compile_pass(trace, core_cfg, (-1, -1, -1), prefix)
+    if looping:
+        # Wrapped region: locality carried over the wrap.  The end-of-
+        # pass state is a fixed point (it depends only on the trace's
+        # last pc / last data access), so one wrapped region is exact
+        # for every pass after the first.
+        rows += _compile_pass(trace, core_cfg, end_locality)[0]
+    else:
+        # One inert padding row so finished lanes keep gathering
+        # in-bounds (their cursor is pinned there once the trace ends).
+        rows.append((-1, -1, 0, _MK_NONE, -1, -1))
+    return _LaneTable(
+        rows=np.array(rows, dtype=np.int64),
+        prefix=prefix,
+        totals=prefix[length].copy(),
+        length=length,
+        looping=looping,
     )
 
 
@@ -565,10 +734,10 @@ def _make_vec_prng(prng_mode: str, seeds: Sequence[int]) -> Any:
 
 
 class _VecRandomRepl:
-    """Random replacement: victims drawn from the per-run PRNG lanes.
+    """Random replacement: victims drawn from the per-lane PRNG.
 
     ``needs_touch`` is False: the policy keeps no recency state, so the
-    cache skips the hit-way ``argmax``/touch entirely (the scalar
+    tag store skips the hit-way ``argmax``/touch entirely (the scalar
     ``RandomReplacement.touch`` is a no-op too).
     """
 
@@ -578,90 +747,55 @@ class _VecRandomRepl:
         self._prng = prng
         self._ways = num_ways
 
-    def touch(self, set_index: Any, way: Any, mask: Any) -> None:
-        return None
-
-    def victim(self, set_index: Any, mask: Any) -> Any:
-        return self._prng.randint(self._ways, mask)
-
     def victim_idx(self, sets: Any, lanes: Any) -> Any:
-        """Victim ways for the indexed miss lanes only — consumes one
+        """Victim ways for the indexed full-set lanes only — consumes one
         draw per listed lane, exactly the scalar consumption."""
         return self._prng.randint_idx(self._ways, lanes)
 
     def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
         return None
 
+    touch_idx = fill_idx
+
 
 class _VecLruRepl:
     """True LRU via per-way last-touch sequence numbers.
 
     Initial timestamps equal the way index (the scalar policy's initial
-    recency order) and every touch installs a strictly increasing
-    counter, so ``argmin`` over a set reproduces ``order[0]`` exactly.
-    Timestamp scatters land on the touched/filled lanes only.
+    recency order) and every touch or fill installs a strictly
+    increasing counter, so ``argmin`` over a set reproduces ``order[0]``
+    exactly; only the *relative* stamp order within one (lane, set)
+    ever matters, so sharing one counter across lanes is exact.
     """
 
     needs_touch = True
 
-    def __init__(self, runs: int, num_sets: int, num_ways: int) -> None:
+    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
         np = _np
         self._ts = np.tile(
-            np.arange(num_ways, dtype=np.int64), (runs, num_sets, 1)
+            np.arange(num_ways, dtype=np.int64), (lanes, num_sets, 1)
         )
         self._counter = num_ways
-        self._rows = np.arange(runs)
-
-    def touch(self, set_index: Any, way: Any, mask: Any) -> None:
-        np = _np
-        lanes = np.flatnonzero(mask)
-        if lanes.size:
-            sets = set_index if isinstance(set_index, int) else set_index[lanes]
-            self._ts[lanes, sets, way[lanes]] = self._counter
-        self._counter += 1
-
-    def victim(self, set_index: Any, mask: Any) -> Any:
-        if isinstance(set_index, int):
-            per_set = self._ts[:, set_index]
-        else:
-            per_set = self._ts[self._rows, set_index]
-        return per_set.argmin(axis=1)
 
     def victim_idx(self, sets: Any, lanes: Any) -> Any:
-        per_set = self._ts[lanes, sets]
-        return per_set.argmin(axis=1)
+        return self._ts[lanes, sets].argmin(axis=1)
 
     def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
-        if lanes.size:
-            self._ts[lanes, sets, way] = self._counter
+        self._ts[lanes, sets, way] = self._counter
         self._counter += 1
+
+    touch_idx = fill_idx
 
 
 class _VecRoundRobinRepl:
-    """FIFO-like rotation: per-run per-set victim pointer."""
+    """FIFO-like rotation: per-lane per-set victim pointer."""
 
     needs_touch = False
 
-    def __init__(self, runs: int, num_sets: int, num_ways: int) -> None:
+    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
         np = _np
-        self._ptr = np.zeros((runs, num_sets), dtype=np.int64)
+        self._ptr = np.zeros((lanes, num_sets), dtype=np.int64)
         self._ways = num_ways
-        self._rows = np.arange(runs)
-
-    def touch(self, set_index: Any, way: Any, mask: Any) -> None:
-        return None
-
-    def victim(self, set_index: Any, mask: Any) -> Any:
-        np = _np
-        if isinstance(set_index, int):
-            way = self._ptr[:, set_index].copy()
-            lanes = np.flatnonzero(mask)
-            self._ptr[lanes, set_index] = (way[lanes] + 1) % self._ways
-        else:
-            way = self._ptr[self._rows, set_index].copy()
-            lanes = np.flatnonzero(mask)
-            self._ptr[lanes, set_index[lanes]] = (way[lanes] + 1) % self._ways
-        return way
 
     def victim_idx(self, sets: Any, lanes: Any) -> Any:
         way = self._ptr[lanes, sets]
@@ -671,10 +805,12 @@ class _VecRoundRobinRepl:
     def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
         return None
 
+    touch_idx = fill_idx
+
 
 def _make_vec_replacement(
     name: str,
-    runs: int,
+    lanes: int,
     num_sets: int,
     num_ways: int,
     prng: Optional[Any],
@@ -682,424 +818,588 @@ def _make_vec_replacement(
     if name == "random":
         return _VecRandomRepl(prng, num_ways)
     if name == "lru":
-        return _VecLruRepl(runs, num_sets, num_ways)
+        return _VecLruRepl(lanes, num_sets, num_ways)
     if name == "round_robin":
-        return _VecRoundRobinRepl(runs, num_sets, num_ways)
+        return _VecRoundRobinRepl(lanes, num_sets, num_ways)
     raise BatchUnsupported(f"replacement {name!r} is not vectorized")
 
 
-def _mix_lanes(value: int, seeds_u64: Any) -> Any:
-    """Vectorized ``placement._mix``: one 64-bit finalizer per lane."""
+def _mix(values: Any, seeds_u64: Any) -> Any:
+    """Vectorized ``placement._mix`` of one shared int or of one value
+    per lane against the per-lane seeds."""
     np = _np
-    base = np.uint64((value * _GOLDEN) & _M64)
-    z = base + seeds_u64  # uint64 arithmetic wraps mod 2**64, as required
+    if isinstance(values, int):
+        z = np.uint64((values * _GOLDEN) & _M64) + seeds_u64
+    else:
+        # uint64 arithmetic wraps mod 2**64, as required.
+        z = values.astype(np.uint64) * np.uint64(_GOLDEN) + seeds_u64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
-class _VecCache:
-    """Set-associative cache with per-run tag stores.
+def _select(sets: Any, sel: Any) -> Any:
+    """``sets[sel]`` for per-lane set indices; a shared int passes through."""
+    return sets if isinstance(sets, int) else sets[sel]
 
-    Per-run placement seeds rotate set indices lane-wise (random modulo
-    / hash placement); the tag store fills lowest-way-first, so the
-    first free way of a set is always ``valid_count`` — the same
-    invariant the scalar ``Cache._allocate`` scan relies on.
+
+class _VecTagStore:
+    """Per-lane set-associative tag store with its replacement state.
+
+    The common core of :class:`_VecCache` and :class:`_VecTlb`.  Ways
+    fill lowest-first, so the first free way of a set is always its
+    ``valid`` count — the same invariant the scalar ``Cache._allocate``
+    scan relies on.  Set indices are either one int shared by all
+    addressed lanes or one per addressed lane.
+    """
+
+    def __init__(
+        self,
+        num_sets: int,
+        ways: int,
+        replacement: str,
+        seeds: Sequence[int],
+        lanes: int,
+        prng_mode: str,
+    ) -> None:
+        np = _np
+        self.ways = ways
+        self._rows = np.arange(lanes)
+        self.tags = np.full((lanes, num_sets, ways), -1, dtype=np.int64)
+        self.valid = np.zeros((lanes, num_sets), dtype=np.int64)
+        prng = _make_vec_prng(prng_mode, seeds) if replacement == "random" else None
+        self.repl = _make_vec_replacement(replacement, lanes, num_sets, ways, prng)
+        self._needs_touch = self.repl.needs_touch
+        self.evictions = np.zeros(lanes, dtype=np.int64)
+
+    def _probe(self, set_index: Any, tag: int) -> Any:
+        """Broadcast form: look ``tag`` up on every lane; returns the
+        per-lane hit mask (replacement touched on the hit lanes)."""
+        np = _np
+        if isinstance(set_index, int):
+            ways = self.tags[:, set_index]
+        else:
+            ways = self.tags[self._rows, set_index]
+        matches = ways == tag
+        hit = matches.any(axis=1)
+        if self._needs_touch:
+            lanes = np.flatnonzero(hit)
+            self.repl.touch_idx(
+                _select(set_index, lanes), matches[lanes].argmax(axis=1), lanes
+            )
+        return hit
+
+    def _probe_idx(self, lanes: Any, sets: Any, tags: Any) -> Any:
+        """Index form: look per-lane ``tags`` up on the indexed lanes;
+        returns the per-event hit mask."""
+        matches = self.tags[lanes, sets] == tags[:, None]
+        hit = matches.any(axis=1)
+        if self._needs_touch and hit.any():
+            self.repl.touch_idx(
+                _select(sets, hit), matches[hit].argmax(axis=1), lanes[hit]
+            )
+        return hit
+
+    def _allocate_idx(self, sets: Any, tags: Any, lanes: Any) -> None:
+        """Fill ``tags`` on the indexed miss lanes (gather/scatter, no
+        store-width temporaries).  Victim draws happen on the full lanes
+        only, one per lane — the scalar consumption."""
+        way = self.valid[lanes, sets]
+        full_sel = way >= self.ways
+        full_lanes = lanes[full_sel]
+        if full_lanes.size:
+            way[full_sel] = self.repl.victim_idx(_select(sets, full_sel), full_lanes)
+            self.evictions[full_lanes] += 1
+            free_sel = ~full_sel
+            free_lanes = lanes[free_sel]
+            if free_lanes.size:
+                self.valid[free_lanes, _select(sets, free_sel)] += 1
+        else:
+            self.valid[lanes, sets] += 1
+        self.tags[lanes, sets, way] = tags
+        self.repl.fill_idx(sets, way, lanes)
+
+
+class _VecCache(_VecTagStore):
+    """Set-associative cache with per-lane tag stores.
+
+    Per-lane placement seeds rotate set indices lane-wise (random
+    modulo / hash placement).  Access counts: a broadcast access
+    reaches every lane, so it counts in one shared int; an index-form
+    access counts on its lanes.  :meth:`stats_for` adds both.
     """
 
     def __init__(
         self,
         cfg: CacheConfig,
         seeds: Sequence[int],
-        runs: int,
+        lanes: int,
         prng_mode: str = "exact",
     ) -> None:
         np = _np
-        self.cfg = cfg
+        super().__init__(
+            cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes, prng_mode
+        )
         self.num_sets = cfg.num_sets
-        self.ways = cfg.ways
         self.line_shift = cfg.line_shift
-        self._rows = np.arange(runs)
-        self.tags = np.full((runs, self.num_sets, self.ways), -1, dtype=np.int64)
-        self.valid = np.zeros((runs, self.num_sets), dtype=np.int64)
         self._placement = cfg.placement
         self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
-        self._rotations: Dict[int, Any] = {}
         self._set_memo: Dict[int, Any] = {}
-        prng = (
-            _make_vec_prng(prng_mode, seeds)
-            if cfg.replacement == "random"
-            else None
-        )
-        self.repl = _make_vec_replacement(
-            cfg.replacement, runs, self.num_sets, self.ways, prng
-        )
-        self._needs_touch = self.repl.needs_touch
         self._allocate_on_write = not cfg.write_through_no_allocate
         # Misses are derived at stats time (accesses - hits): the hot
         # loop keeps one vector accumulate per access, not two.
-        self.read_hits = np.zeros(runs, dtype=np.int64)
-        self.write_hits = np.zeros(runs, dtype=np.int64)
-        self.evictions = np.zeros(runs, dtype=np.int64)
+        self.read_hits = np.zeros(lanes, dtype=np.int64)
+        self.write_hits = np.zeros(lanes, dtype=np.int64)
+        self.reads = np.zeros(lanes, dtype=np.int64)
+        self.writes = np.zeros(lanes, dtype=np.int64)
         self._reads = 0
         self._writes = 0
 
     # -- placement -----------------------------------------------------
-    def _set_index(self, line: int) -> Any:
-        """Set index of ``line`` — an int (modulo) or an (R,) array.
+    def _place(self, lines: Any, lanes: Any) -> Any:
+        """Set index of ``lines`` (one int, or one per lane) on ``lanes``
+        (an index array, or ``slice(None)`` for every lane)."""
+        np = _np
+        sets = self.num_sets
+        if self._placement == "modulo":
+            return lines % sets
+        seeds = self._seeds[lanes]
+        if self._placement == "random_modulo":
+            rotation = (_mix(lines // sets, seeds) % np.uint64(sets)).astype(np.int64)
+            return (lines % sets + rotation) % sets
+        return (_mix(lines, seeds) % np.uint64(sets)).astype(np.int64)
 
-        Memoized per line: placement is a pure function of (line, run
+    def _set_index(self, line: int) -> Any:
+        """Broadcast set index of ``line`` — an int (modulo) or an
+        array over every lane.
+
+        Memoized per line: placement is a pure function of (line, lane
         seed) for the whole engine lifetime, and traces revisit a small
         working set of lines many times.
         """
-        np = _np
         cached = self._set_memo.get(line)
-        if cached is not None:
-            return cached
-        sets = self.num_sets
-        result: Any
-        if self._placement == "modulo":
-            result = line % sets
-        elif self._placement == "random_modulo":
-            tag, index = divmod(line, sets)
-            rotation = self._rotations.get(tag)
-            if rotation is None:
-                rotation = (_mix_lanes(tag, self._seeds) % np.uint64(sets)).astype(
-                    np.int64
-                )
-                self._rotations[tag] = rotation
-            result = (index + rotation) % sets
-        else:
-            result = (_mix_lanes(line, self._seeds) % np.uint64(sets)).astype(
-                np.int64
-            )
-        self._set_memo[line] = result
-        return result
+        if cached is None:
+            cached = self._place(line, slice(None))
+            self._set_memo[line] = cached
+        return cached
 
-    def _gather_ways(self, set_index: Any) -> Any:
-        if isinstance(set_index, int):
-            return self.tags[:, set_index]
-        return self.tags[self._rows, set_index]
-
-    # -- accesses ------------------------------------------------------
-    def _allocate_idx(self, set_index: Any, line: int, lanes: Any) -> None:
-        """Fill ``line`` on the miss lanes only (gather/scatter, no
-        run-width temporaries). Victim draws happen on the full lanes
-        in ascending lane order — the scalar loop's draw order."""
-        np = _np
-        sets = set_index if isinstance(set_index, int) else set_index[lanes]
-        way = self.valid[lanes, sets]
-        full_sel = way >= self.ways
-        full_lanes = lanes[full_sel]
-        if full_lanes.size:
-            full_sets = sets if isinstance(sets, int) else sets[full_sel]
-            way[full_sel] = self.repl.victim_idx(full_sets, full_lanes)
-            self.evictions[full_lanes] += 1
-            free_sel = ~full_sel
-            free_lanes = lanes[free_sel]
-            if free_lanes.size:
-                free_sets = sets if isinstance(sets, int) else sets[free_sel]
-                self.valid[free_lanes, free_sets] += 1
-        else:
-            self.valid[lanes, sets] += 1
-        self.tags[lanes, sets, way] = line
-        self.repl.fill_idx(sets, way, lanes)
-
+    # -- broadcast form --------------------------------------------------
     def read(self, byte_address: int) -> Any:
-        """Vectorized ``Cache.read``; returns the miss-lane indices."""
+        """Vectorized ``Cache.read`` on every lane; returns the miss-lane
+        indices."""
         np = _np
         line = byte_address >> self.line_shift
         set_index = self._set_index(line)
-        matches = self._gather_ways(set_index) == line
-        hit = matches.any(axis=1)
-        if self._needs_touch:
-            self.repl.touch(set_index, matches.argmax(axis=1), hit)
+        hit = self._probe(set_index, line)
         self.read_hits += hit
         self._reads += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            self._allocate_idx(set_index, line, lanes)
+            self._allocate_idx(_select(set_index, lanes), line, lanes)
         return lanes
 
-    def write(self, byte_address: int) -> Any:
-        """Vectorized ``Cache.write``; returns the miss-lane indices."""
+    def write(self, byte_address: int) -> None:
+        """Vectorized ``Cache.write`` on every lane."""
         np = _np
         line = byte_address >> self.line_shift
         set_index = self._set_index(line)
-        matches = self._gather_ways(set_index) == line
-        hit = matches.any(axis=1)
-        if self._needs_touch:
-            self.repl.touch(set_index, matches.argmax(axis=1), hit)
+        hit = self._probe(set_index, line)
         self.write_hits += hit
         self._writes += 1
-        lanes = np.flatnonzero(~hit)
-        if lanes.size and self._allocate_on_write:
-            self._allocate_idx(set_index, line, lanes)
-        return lanes
+        if self._allocate_on_write:
+            lanes = np.flatnonzero(~hit)
+            if lanes.size:
+                self._allocate_idx(_select(set_index, lanes), line, lanes)
 
-    def stats_for(self, run: int) -> CacheStats:
-        """Per-run counters as a scalar-shaped :class:`CacheStats`."""
-        read_hits = int(self.read_hits[run])
-        write_hits = int(self.write_hits[run])
+    # -- index form ------------------------------------------------------
+    def _access_idx(self, lanes: Any, addrs: Any, allocate: bool) -> Any:
+        lines = addrs >> self.line_shift
+        sets = self._place(lines, lanes)
+        hit = self._probe_idx(lanes, sets, lines)
+        if allocate and not hit.all():
+            miss = ~hit
+            self._allocate_idx(sets[miss], lines[miss], lanes[miss])
+        return hit
+
+    def read_idx(self, lanes: Any, addrs: Any) -> Any:
+        """Vectorized ``Cache.read`` of per-lane ``addrs`` on the indexed
+        lanes; returns the per-event hit mask."""
+        hit = self._access_idx(lanes, addrs, True)
+        self.read_hits[lanes] += hit
+        self.reads[lanes] += 1
+        return hit
+
+    def write_idx(self, lanes: Any, addrs: Any) -> None:
+        """Vectorized ``Cache.write`` of per-lane ``addrs`` on the
+        indexed lanes."""
+        hit = self._access_idx(lanes, addrs, self._allocate_on_write)
+        self.write_hits[lanes] += hit
+        self.writes[lanes] += 1
+
+    def stats_for(self, lane: int) -> CacheStats:
+        """Per-lane counters as a scalar-shaped :class:`CacheStats`."""
+        read_hits = int(self.read_hits[lane])
+        write_hits = int(self.write_hits[lane])
         return CacheStats(
             read_hits=read_hits,
-            read_misses=self._reads - read_hits,
+            read_misses=self._reads + int(self.reads[lane]) - read_hits,
             write_hits=write_hits,
-            write_misses=self._writes - write_hits,
-            evictions=int(self.evictions[run]),
+            write_misses=self._writes + int(self.writes[lane]) - write_hits,
+            evictions=int(self.evictions[lane]),
             flushes=0,
         )
 
 
-class _VecTlb:
-    """Fully-associative TLB with per-run entry stores."""
+class _VecTlb(_VecTagStore):
+    """Fully-associative TLB: a one-set tag store of virtual pages.
+
+    Both forms add the walk penalty to ``now`` in place on the missing
+    lanes; access counts follow the :class:`_VecCache` split.
+    """
 
     def __init__(
         self,
         cfg: TlbConfig,
         seeds: Sequence[int],
-        runs: int,
+        lanes: int,
         prng_mode: str = "exact",
     ) -> None:
         np = _np
-        self.cfg = cfg
-        self.entries_per_run = cfg.entries
-        self._rows = np.arange(runs)
-        self.entries = np.full((runs, cfg.entries), -1, dtype=np.int64)
-        self.valid = np.zeros(runs, dtype=np.int64)
-        prng = (
-            _make_vec_prng(prng_mode, seeds)
-            if cfg.replacement == "random"
-            else None
-        )
-        self.repl = _make_vec_replacement(
-            cfg.replacement, runs, 1, cfg.entries, prng
-        )
-        self._needs_touch = self.repl.needs_touch
-        self.hits = np.zeros(runs, dtype=np.int64)
+        super().__init__(1, cfg.entries, cfg.replacement, seeds, lanes, prng_mode)
+        self._penalty = cfg.walk_penalty_cycles
+        self.hits = np.zeros(lanes, dtype=np.int64)
+        self.lookups = np.zeros(lanes, dtype=np.int64)
         self._lookups = 0
 
     def lookup(self, page: int, now: Any) -> None:
-        """Vectorized ``Tlb.lookup``: adds the walk penalty to ``now``
-        in place on the miss lanes."""
+        """Vectorized ``Tlb.lookup`` of ``page`` on every lane."""
         np = _np
-        matches = self.entries == page
-        hit = matches.any(axis=1)
-        if self._needs_touch:
-            self.repl.touch(0, matches.argmax(axis=1), hit)
+        hit = self._probe(0, page)
         self.hits += hit
         self._lookups += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            way_new = self.valid[lanes]
-            full_sel = way_new >= self.entries_per_run
-            full_lanes = lanes[full_sel]
-            if full_lanes.size:
-                way_new[full_sel] = self.repl.victim_idx(0, full_lanes)
-                free_lanes = lanes[~full_sel]
-                if free_lanes.size:
-                    self.valid[free_lanes] += 1
-            else:
-                self.valid[lanes] += 1
-            self.entries[lanes, way_new] = page
-            self.repl.fill_idx(0, way_new, lanes)
-            now[lanes] += self.cfg.walk_penalty_cycles
+            self._allocate_idx(0, page, lanes)
+            now[lanes] += self._penalty
 
-    def stats_for(self, run: int) -> TlbStats:
-        """Per-run counters as a scalar-shaped :class:`TlbStats`."""
-        hits = int(self.hits[run])
-        return TlbStats(hits=hits, misses=self._lookups - hits)
+    def lookup_idx(self, lanes: Any, pages: Any, now: Any) -> None:
+        """Vectorized ``Tlb.lookup`` of per-lane ``pages`` on the indexed
+        lanes."""
+        hit = self._probe_idx(lanes, 0, pages)
+        self.hits[lanes] += hit
+        self.lookups[lanes] += 1
+        if not hit.all():
+            miss = ~hit
+            miss_lanes = lanes[miss]
+            self._allocate_idx(0, pages[miss], miss_lanes)
+            now[miss_lanes] += self._penalty
+
+    def stats_for(self, lane: int) -> TlbStats:
+        """Per-lane counters as a scalar-shaped :class:`TlbStats`."""
+        hits = int(self.hits[lane])
+        return TlbStats(
+            hits=hits, misses=self._lookups + int(self.lookups[lane]) - hits
+        )
 
 
 class _VecBus:
-    """Single-master-per-engine view of the shared bus, per-run horizon.
+    """Shared round-robin bus with per-run arbitration state.
 
-    Only this engine's core ever requests, so the round-robin pointer
-    takes exactly two values per lane: 0 (never requested) or
-    ``core_id + 1`` (requested before). Arbitration delay therefore
-    collapses to a two-case constant selected by a ``requested`` flag —
-    no pointer array, no modulo per request.
+    Mirrors :class:`~repro.platform.bus.Bus` exactly: one busy horizon
+    and round-robin grant pointer per run, aggregate plus per-master
+    contention/transaction splits (kept per scheduled core on the
+    (cores, runs) grid; :meth:`stats_for` reconstructs ``BusStats``'s
+    dicts with keys exactly for masters that issued at least one
+    transaction, as the scalar dict-growing updates do).  Issuers are
+    addressed by *row* — their position in ``core_ids`` — and the grant
+    delay is tabulated per (row, grant pointer), so arbitration is one
+    gather.  With one scheduled core the per-master split *is* the
+    aggregate, so it is read from the aggregate counters.
+
+    Within one global step the scheduler selects at most one core per
+    run, so an event's run indices are unique and the scatters
+    race-free.
     """
 
-    def __init__(self, cfg: BusConfig, runs: int, core_id: int) -> None:
+    def __init__(self, cfg: BusConfig, runs: int, core_ids: Sequence[int]) -> None:
         np = _np
-        self.cfg = cfg
-        self.core_id = core_id
-        self.busy_until = np.zeros(runs, dtype=np.int64)
-        self.contention = np.zeros(runs, dtype=np.int64)
-        self._requested = np.zeros(runs, dtype=bool)
-        self._line_cost = cfg.line_transfer_cycles + cfg.arbitration_cycles
-        self._word_cost = cfg.word_transfer_cycles + cfg.arbitration_cycles
+        self.core_ids = list(core_ids)
         masters = cfg.num_masters
-        self._multi = masters > 1
-        if self._multi:
-            first = core_id % masters  # pointer 0 -> distance = core_id
-            again = masters - 1  # pointer core_id+1 -> full rotation
-            if cfg.strict_rr_arbitration:
-                self._delay_first = first * cfg.arbitration_cycles
-                self._delay_again = again * cfg.arbitration_cycles
-            else:
-                self._delay_first = 0 if first == 0 else cfg.arbitration_cycles
-                self._delay_again = 0 if again == 0 else cfg.arbitration_cycles
+        self.busy_until = np.zeros(runs, dtype=np.int64)
+        self.pointer = np.zeros(runs, dtype=np.int64)
+        # Transactions are counted per kind: the transfer-cycle total
+        # follows from the two counts at stats time.
+        self.line_transactions = np.zeros(runs, dtype=np.int64)
+        self.word_transactions = np.zeros(runs, dtype=np.int64)
+        self.contention = np.zeros(runs, dtype=np.int64)
+        self._split = len(self.core_ids) > 1
+        if self._split:
+            self.transactions_by_core = np.zeros(
+                (len(self.core_ids), runs), dtype=np.int64
+            )
+            self.contention_by_core = np.zeros(
+                (len(self.core_ids), runs), dtype=np.int64
+            )
         else:
-            self._delay_first = 0
-            self._delay_again = 0
+            self.contention_by_core = self.contention[None, :]
+        arb = cfg.arbitration_cycles
+        delay = np.zeros((len(self.core_ids), masters), dtype=np.int64)
+        for row, core_id in enumerate(self.core_ids):
+            for pointer in range(masters):
+                distance = (core_id - pointer) % masters
+                if distance:
+                    delay[row, pointer] = (
+                        distance * arb if cfg.strict_rr_arbitration else arb
+                    )
+        self._delay = delay
+        self._next_pointer = np.array(
+            [(core_id + 1) % masters for core_id in self.core_ids], dtype=np.int64
+        )
+        self._line_cost = cfg.line_transfer_cycles + arb
+        self._word_cost = cfg.word_transfer_cycles + arb
 
-    def request_idx(self, now: Any, is_line: bool, lanes: Any) -> None:
-        """``Bus.request`` on the given lanes; advances ``now`` in place
-        by wait + transfer, as the scalar caller does."""
-        np = _np
-        now_l = now[lanes]
-        wait = self.busy_until[lanes] - now_l
-        np.maximum(wait, 0, out=wait)
-        if self._multi:
-            wait += np.where(
-                self._requested[lanes], self._delay_again, self._delay_first
-            )
-            self._requested[lanes] = True
-        transfer = self._line_cost if is_line else self._word_cost
-        done = now_l + wait + transfer
-        self.busy_until[lanes] = done
-        self.contention[lanes] += wait
-        now[lanes] = done
+    def request_idx(self, rows: Any, run_sel: Any, now: Any, is_line: bool) -> Any:
+        """Vectorized ``Bus.request``: one transaction per indexed run.
 
-    def request_all(self, now: Any, is_line: bool) -> Any:
-        """``Bus.request`` on every lane; returns the per-lane cost."""
+        ``rows`` holds the issuing cores' row indices (one int when a
+        single core issues), ``run_sel`` the unique run indices
+        (``slice(None)`` for every run) and ``now`` the issuers' local
+        times.  Returns the wait+transfer cost.
+        """
         np = _np
-        wait = self.busy_until - now
+        wait = self.busy_until[run_sel] - now
         np.maximum(wait, 0, out=wait)
-        if self._multi:
-            wait += np.where(
-                self._requested, self._delay_again, self._delay_first
-            )
-            self._requested[:] = True
-        transfer = self._line_cost if is_line else self._word_cost
-        cost = wait + transfer
-        np.add(now, cost, out=self.busy_until)
-        self.contention += wait
-        return cost
+        wait += self._delay[rows, self.pointer[run_sel]]
+        if is_line:
+            total = wait + self._line_cost
+            self.line_transactions[run_sel] += 1
+        else:
+            total = wait + self._word_cost
+            self.word_transactions[run_sel] += 1
+        self.busy_until[run_sel] = now + total
+        self.pointer[run_sel] = self._next_pointer[rows]
+        self.contention[run_sel] += wait
+        if self._split:
+            self.transactions_by_core[rows, run_sel] += 1
+            self.contention_by_core[rows, run_sel] += wait
+        return total
+
+    def stats_for(self, run: int) -> BusStats:
+        """Per-run counters as a scalar-shaped :class:`BusStats`."""
+        lines = int(self.line_transactions[run])
+        words = int(self.word_transactions[run])
+        transactions: Dict[int, int] = {}
+        contention: Dict[int, int] = {}
+        for index, core_id in enumerate(self.core_ids):
+            if self._split:
+                count = int(self.transactions_by_core[index, run])
+            else:
+                count = lines + words
+            if count > 0:
+                transactions[core_id] = count
+                contention[core_id] = int(self.contention_by_core[index, run])
+        return BusStats(
+            transactions=lines + words,
+            contention_cycles=int(self.contention[run]),
+            transfer_cycles=lines * self._line_cost + words * self._word_cost,
+            contention_by_master=contention,
+            transactions_by_master=transactions,
+        )
 
 
 class _VecMemory:
-    """DRAM controller with per-run open-row and refresh state.
+    """DRAM controller with per-run open-row/refresh state and the full
+    per-run counter breakdown of :class:`MemoryStats`.
 
     The default configuration (closed-page, no refresh) makes every
-    access a compile-time-constant cost — returned as a plain int so
-    the caller's ``now`` update is one scalar broadcast.
+    access a configuration constant: it is returned as a plain int, so
+    the caller's ``now`` update is one scalar broadcast, and the
+    device-cycle total is derived from the read/write counts at stats
+    time.
     """
 
     def __init__(self, cfg: MemoryConfig, runs: int) -> None:
         np = _np
         self.cfg = cfg
         self._closed = cfg.page_policy == "closed"
+        self._refresh = cfg.refresh_interval_cycles > 0
+        self._constant = self._closed and not self._refresh
         if not self._closed:
             self.open_rows = np.full((runs, cfg.num_banks), -1, dtype=np.int64)
-        self._refresh = cfg.refresh_interval_cycles > 0
         self._read_cost = cfg.cas_cycles + cfg.activate_cycles
         self._write_cost = self._read_cost + cfg.write_cycles
+        self.reads = np.zeros(runs, dtype=np.int64)
+        self.writes = np.zeros(runs, dtype=np.int64)
+        self.row_hits = np.zeros(runs, dtype=np.int64)
+        self.row_conflicts = np.zeros(runs, dtype=np.int64)
+        self.refresh_stalls = np.zeros(runs, dtype=np.int64)
+        self.total_cycles = np.zeros(runs, dtype=np.int64)
 
-    def _row_cost(self, byte_address: int, is_write: bool, lanes: Any) -> Any:
-        """Open-page cost on the given lanes (or all lanes for
-        ``slice(None)``), updating the per-bank open rows."""
+    def access_idx(self, run_sel: Any, addrs: Any, is_write: bool, now: Any) -> Any:
+        """Vectorized ``MemoryController.access`` on the indexed runs
+        (``slice(None)`` for every run) at per-run times ``now``.
+
+        ``addrs`` is one shared address or one per run.  Returns the
+        device latency — a plain int on the constant closed-page path,
+        else a per-run array."""
         np = _np
         cfg = self.cfg
-        cycles = cfg.cas_cycles + (cfg.write_cycles if is_write else 0)
-        row_index = byte_address // cfg.row_bytes
-        bank = row_index % cfg.num_banks
-        row = row_index // cfg.num_banks
-        open_row = self.open_rows[lanes, bank]
-        empty = open_row < 0
-        conflict = (open_row != row) & ~empty
-        cost = (
-            cycles
-            + np.where(empty, cfg.activate_cycles, 0)
-            + np.where(conflict, cfg.precharge_cycles + cfg.activate_cycles, 0)
-        )
-        self.open_rows[lanes, bank] = row
-        return cost
-
-    def _refresh_stall(self, now: Any) -> Any:
-        # Refresh phase is 0 after every platform reset (the run
-        # protocol never calls set_refresh_phase), so ``now`` alone
-        # determines the collision per lane.
-        np = _np
-        cfg = self.cfg
-        position = now % cfg.refresh_interval_cycles
-        stalled = position < cfg.refresh_stall_cycles
-        return np.where(stalled, cfg.refresh_stall_cycles - position, 0)
-
-    def access_idx(
-        self, byte_address: int, is_write: bool, now: Any, lanes: Any
-    ) -> None:
-        """``MemoryController.access`` on the given lanes; advances
-        ``now`` in place."""
-        if self._closed and not self._refresh:
-            now[lanes] += self._write_cost if is_write else self._read_cost
-            return
+        if is_write:
+            self.writes[run_sel] += 1
+        else:
+            self.reads[run_sel] += 1
+        if self._constant:
+            return self._write_cost if is_write else self._read_cost
+        cost: Any
         if self._closed:
             cost = self._write_cost if is_write else self._read_cost
         else:
-            cost = self._row_cost(byte_address, is_write, lanes)
+            row_index = addrs // cfg.row_bytes
+            bank = row_index % cfg.num_banks
+            row = row_index // cfg.num_banks
+            open_row = self.open_rows[run_sel, bank]
+            empty = open_row < 0
+            same = open_row == row
+            conflict = ~same & ~empty
+            cost = (
+                cfg.cas_cycles
+                + (cfg.write_cycles if is_write else 0)
+                + np.where(empty, cfg.activate_cycles, 0)
+                + np.where(conflict, cfg.precharge_cycles + cfg.activate_cycles, 0)
+            )
+            self.row_hits[run_sel] += same
+            self.row_conflicts[run_sel] += conflict
+            self.open_rows[run_sel, bank] = row
         if self._refresh:
-            cost = cost + self._refresh_stall(now[lanes])
-        now[lanes] += cost
-
-    def access_all(self, byte_address: int, is_write: bool, now: Any) -> Any:
-        """``MemoryController.access`` on every lane; returns the cost
-        (an int when it is lane-invariant)."""
-        if self._closed and not self._refresh:
-            return self._write_cost if is_write else self._read_cost
-        if self._closed:
-            cost: Any = self._write_cost if is_write else self._read_cost
-        else:
-            cost = self._row_cost(byte_address, is_write, slice(None))
-        if self._refresh:
-            cost = cost + self._refresh_stall(now)
+            # Refresh phase is 0 after every platform reset (the run
+            # protocol never calls set_refresh_phase), so the per-run
+            # ``now`` alone determines the collision.
+            position = now % cfg.refresh_interval_cycles
+            stalled = position < cfg.refresh_stall_cycles
+            self.refresh_stalls[run_sel] += stalled
+            cost = cost + np.where(stalled, cfg.refresh_stall_cycles - position, 0)
+        self.total_cycles[run_sel] += cost
         return cost
+
+    def stats_for(self, run: int) -> MemoryStats:
+        """Per-run counters as a scalar-shaped :class:`MemoryStats`."""
+        reads = int(self.reads[run])
+        writes = int(self.writes[run])
+        total = int(self.total_cycles[run])
+        if self._constant:
+            total += reads * self._read_cost + writes * self._write_cost
+        return MemoryStats(
+            reads=reads,
+            writes=writes,
+            row_hits=int(self.row_hits[run]),
+            row_conflicts=int(self.row_conflicts[run]),
+            refresh_stalls=int(self.refresh_stalls[run]),
+            total_cycles=total,
+        )
 
 
 class _VecStoreBuffer:
-    """Per-run write-through store buffer as a FIFO ring."""
+    """Per-lane write-through store buffer as a FIFO ring, index form.
 
-    def __init__(self, runs: int, depth: int) -> None:
+    The scalar store path drains ready entries *before every store* and
+    then stalls on a still-full buffer.  Draining is observable only
+    through that full check (entry ready times are fixed at push time),
+    so the ring is drained lazily — exactly when a store finds the lane
+    full.  At that moment the set of entries with ``ready <= now``
+    equals the set the scalar path would have popped across its earlier
+    per-store drains (``now`` is monotone per lane), so the post-drain
+    occupancy — and hence the stall decision — is bit-identical.
+    """
+
+    def __init__(self, lanes: int, depth: int) -> None:
         np = _np
         self.depth = depth
-        self.ready = np.zeros((runs, depth), dtype=np.int64)
-        self.head = np.zeros(runs, dtype=np.int64)
-        self.count = np.zeros(runs, dtype=np.int64)
-        self._rows = np.arange(runs)
+        self.ready = np.zeros((lanes, depth), dtype=np.int64)
+        self.head = np.zeros(lanes, dtype=np.int64)
+        self.count = np.zeros(lanes, dtype=np.int64)
+        self._offsets = np.arange(depth)[None, :]
 
-    def drain(self, now: Any) -> None:
-        """Pop every leading entry already drained at ``now``, per run."""
+    def prepare_store(self, lanes: Any, now: Any) -> None:
+        """Make room for one entry per indexed lane: lazy drain of full
+        lanes, then the scalar full-buffer stall (``now`` is advanced in
+        place to the oldest entry's ready time on stalled lanes)."""
         np = _np
-        while True:
-            has = self.count > 0
-            if not has.any():
-                return
-            oldest = self.ready[self._rows, self.head]
-            pop = has & (oldest <= now)
-            if not pop.any():
-                return
-            self.head = np.where(pop, (self.head + 1) % self.depth, self.head)
-            self.count -= pop
-
-    def stall_if_full(self, now: Any) -> Any:
-        """Scalar semantics: a store into a full buffer waits for the
-        oldest entry; returns the (possibly advanced) ``now``."""
-        np = _np
-        full = self.count >= self.depth
+        full = self.count[lanes] >= self.depth
         if full.any():
-            oldest = self.ready[self._rows, self.head]
-            now = np.where(full, np.maximum(now, oldest), now)
-            self.head = np.where(full, (self.head + 1) % self.depth, self.head)
-            self.count -= full
-        return now
+            full_lanes = lanes[full]
+            self._drain(full_lanes, now[full_lanes])
+            still = self.count[full_lanes] >= self.depth
+            if still.any():
+                stalled = full_lanes[still]
+                head = self.head[stalled]
+                now[stalled] = np.maximum(now[stalled], self.ready[stalled, head])
+                self.head[stalled] = (head + 1) % self.depth
+                self.count[stalled] -= 1
 
-    def push(self, ready_at: Any) -> None:
-        """Append one entry on every lane (store events are trace-pure)."""
-        tail = (self.head + self.count) % self.depth
-        self.ready[self._rows, tail] = ready_at
-        self.count += 1
+    def _drain(self, lanes: Any, now: Any) -> None:
+        """Pop every leading entry already drained at ``now``.
+
+        Gathers each lane's ring in FIFO order and pops the longest
+        ready *prefix* — a ready entry queued behind a stalled one stays
+        buffered, exactly as in the scalar pop-while-ready loop.
+        """
+        np = _np
+        head = self.head[lanes]
+        slots = (head[:, None] + self._offsets) % self.depth
+        fifo = self.ready[lanes[:, None], slots]
+        poppable = (fifo <= now[:, None]) & (
+            self._offsets < self.count[lanes][:, None]
+        )
+        pops = np.logical_and.accumulate(poppable, axis=1).sum(axis=1)
+        self.head[lanes] = (head + pops) % self.depth
+        self.count[lanes] -= pops
+
+    def push(self, lanes: Any, ready_at: Any) -> None:
+        """Append one entry per indexed lane."""
+        tail = (self.head[lanes] + self.count[lanes]) % self.depth
+        self.ready[lanes, tail] = ready_at
+        self.count[lanes] += 1
+
+
+def _component_seeds(
+    seeds: Sequence[int], core_ids: Sequence[int]
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """Per-lane IL1/DL1/ITLB/DTLB seeds of the scalar reset path — the
+    per-core seed, then per-component sub-seeds, so every lane draws the
+    scalar streams.  Lanes are core-major (lane ``ci * R + r`` is core
+    ``core_ids[ci]`` on run ``r``)."""
+    icache: List[int] = []
+    dcache: List[int] = []
+    itlb: List[int] = []
+    dtlb: List[int] = []
+    for core_id in core_ids:
+        for seed in seeds:
+            core_seed = derive_seed(seed, core_id + 101)
+            icache.append(derive_seed(core_seed, core_id, 0))
+            dcache.append(derive_seed(core_seed, core_id, 1))
+            itlb.append(derive_seed(core_seed, core_id, 2))
+            dtlb.append(derive_seed(core_seed, core_id, 3))
+    return icache, dcache, itlb, dtlb
+
+
+class _VecCore:
+    """The private components of every lane: IL1, DL1, ITLB, DTLB and
+    the store buffer, seeded as :func:`_component_seeds` lays out."""
+
+    def __init__(
+        self,
+        core_cfg: CoreConfig,
+        seeds: Sequence[int],
+        core_ids: Sequence[int],
+        prng_mode: str,
+    ) -> None:
+        lanes = len(seeds) * len(core_ids)
+        icache, dcache, itlb, dtlb = _component_seeds(seeds, core_ids)
+        self.icache = _VecCache(core_cfg.icache, icache, lanes, prng_mode)
+        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes, prng_mode)
+        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes, prng_mode)
+        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes, prng_mode)
+        self.store_buffer = _VecStoreBuffer(lanes, core_cfg.store_buffer_depth)
 
 
 # ----------------------------------------------------------------------
@@ -1130,43 +1430,26 @@ class _BatchEngine:
 
     def __init__(self, platform: Platform, seeds: Sequence[int], core_id: int) -> None:
         cfg = platform.config
-        core_cfg = cfg.core
-        self.core_cfg = core_cfg
+        self.core_cfg = cfg.core
         self.core_id = core_id
         self.runs = len(seeds)
-        prng_mode = cfg.prng_mode
-        # The scalar reset path: per-core seed, then per-component
-        # sub-seeds — identical derivation chain, identical streams.
-        icache_seeds: List[int] = []
-        dcache_seeds: List[int] = []
-        itlb_seeds: List[int] = []
-        dtlb_seeds: List[int] = []
-        for seed in seeds:
-            core_seed = derive_seed(seed, core_id + 101)
-            icache_seeds.append(derive_seed(core_seed, core_id, 0))
-            dcache_seeds.append(derive_seed(core_seed, core_id, 1))
-            itlb_seeds.append(derive_seed(core_seed, core_id, 2))
-            dtlb_seeds.append(derive_seed(core_seed, core_id, 3))
-        self.icache = _VecCache(core_cfg.icache, icache_seeds, self.runs, prng_mode)
-        self.dcache = _VecCache(core_cfg.dcache, dcache_seeds, self.runs, prng_mode)
-        self.itlb = _VecTlb(core_cfg.itlb, itlb_seeds, self.runs, prng_mode)
-        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb_seeds, self.runs, prng_mode)
-        self.bus = _VecBus(cfg.bus, self.runs, core_id)
+        self.core = _VecCore(cfg.core, seeds, (core_id,), cfg.prng_mode)
+        self.bus = _VecBus(cfg.bus, self.runs, (core_id,))
         self.memory = _VecMemory(cfg.memory, self.runs)
-        self.store_buffer = _VecStoreBuffer(
-            self.runs, core_cfg.store_buffer_depth
-        )
 
     def run_segments(self, segments: Sequence[Trace]) -> BatchRunOutcome:
         np = _np
-        icache = self.icache
-        dcache = self.dcache
-        itlb = self.itlb
-        dtlb = self.dtlb
+        icache = self.core.icache
+        dcache = self.core.dcache
+        itlb = self.core.itlb
+        dtlb = self.core.dtlb
+        store_buffer = self.core.store_buffer
         bus = self.bus
         memory = self.memory
-        store_buffer = self.store_buffer
-        dline_shift = dcache.line_shift
+        # The store buffer scatters per lane; the bus and DRAM take every
+        # run as a slice (whole-array updates, no index gathers).
+        run_ids = np.arange(self.runs)
+        every_run = slice(None)
 
         per_segment: List["object"] = []
         pipeline_total = PipelineStats()
@@ -1191,26 +1474,29 @@ class _BatchEngine:
                         itlb.lookup(itlb_page, now)
                     lanes = icache.read(fetch_pc)
                     if lanes.size:
-                        bus.request_idx(now, True, lanes)
-                        memory.access_idx(fetch_pc, False, now, lanes)
-                if mem_kind == _EV_NONE:
+                        now_m = now[lanes]
+                        now_m += bus.request_idx(0, lanes, now_m, True)
+                        now_m += memory.access_idx(lanes, fetch_pc, False, now_m)
+                        now[lanes] = now_m
+                if mem_kind == _MK_NONE:
                     continue
                 if pre_cost:
                     now += pre_cost
                 if dtlb_page >= 0:
                     dtlb.lookup(dtlb_page, now)
-                if mem_kind == _EV_LOAD:
+                if mem_kind == _MK_LOAD:
                     lanes = dcache.read(addr)
                     if lanes.size:
-                        bus.request_idx(now, True, lanes)
-                        memory.access_idx(addr, False, now, lanes)
+                        now_m = now[lanes]
+                        now_m += bus.request_idx(0, lanes, now_m, True)
+                        now_m += memory.access_idx(lanes, addr, False, now_m)
+                        now[lanes] = now_m
                 else:
                     dcache.write(addr)
-                    store_buffer.drain(now)
-                    now = store_buffer.stall_if_full(now)
-                    cost = bus.request_all(now, False)
-                    cost = cost + memory.access_all(addr, True, now)
-                    store_buffer.push(now + cost)
+                    store_buffer.prepare_store(run_ids, now)
+                    cost = bus.request_idx(0, every_run, now, False)
+                    cost = cost + memory.access_idx(every_run, addr, True, now)
+                    store_buffer.push(run_ids, now + cost)
             if compiled.tail:
                 now += compiled.tail
             per_segment.append(now)

@@ -16,23 +16,26 @@ The engine flattens the (scheduled core, replication) grid into one
 *superlane* dimension of ``C·R`` lanes (core-major, so superlane
 ``ci·R + r`` is core ``ci``'s lane for run ``r``): IL1/DL1/ITLB/DTLB tag
 stores, the store-buffer rings, cycle counters and trace cursors are all
-superlane-wide.  Because each run advances exactly one core per step,
-the step's work involves at most ``R`` superlanes — and each sub-event
-(fetch probe, TLB walk, load, store) far fewer — so all components
-operate in *index* form: callers pass arrays of unique lane indices and
-the components gather, compute at the event's width, and scatter back.
-The scatters are race-free by the same invariant (one selected lane per
-run, unique indices).  The shared bus and DRAM controller keep per-run
-state (busy horizon, round-robin grant pointer, per-master splits
-matching :class:`~repro.platform.bus.BusStats`, open-row/refresh state)
-addressed by the event's unique run indices.
+superlane-wide.  The hardware models are the single-core engine's
+(:mod:`repro.platform.batch`), driven in their *index* form: because
+each run advances exactly one core per step, the step's work involves
+at most ``R`` superlanes — and each sub-event (fetch probe, TLB walk,
+load, store) far fewer — so callers pass arrays of unique lane indices
+with per-lane addresses and the components gather, compute at the
+event's width, and scatter back.  The scatters are race-free by the
+same invariant (one selected lane per run, unique indices).  The shared
+bus and DRAM controller keep per-run state (busy horizon, round-robin
+grant pointer, per-master splits matching
+:class:`~repro.platform.bus.BusStats`, open-row/refresh state) addressed
+by the event's unique run indices.
 
 Lanes' interleavings diverge (randomized caches make contention
 lane-specific), so per-instruction facts — fetch probes, page changes,
 pipeline and FPU costs, memory operations — are precompiled into
-per-index tables and gathered at each superlane's own cursor.  Looping
-co-runners use a two-region table: region one compiles the trace with
-cold fetch/translation locality (a fresh
+per-index tables (the single-core compiler's rows, stacked) and gathered
+at each superlane's own cursor.  Looping co-runners use a two-region
+table: region one compiles the trace with cold fetch/translation
+locality (a fresh
 :class:`~repro.platform.core.CoreStepper`), region two with the locality
 carried over the wrap.  The end-of-pass locality state is a fixed point
 — it is determined by the trace's last program counter and last data
@@ -67,31 +70,27 @@ bus grant logging, numpy missing — raise
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .batch import (
-    _GOLDEN,
-    _M64,
-    _MIX1,
-    _MIX2,
-    _VEC_PLACEMENTS,
-    _VEC_REPLACEMENTS,
+    _MK_LOAD,
+    _MK_STORE,
     BatchUnsupported,
-    _make_vec_prng,
+    _cores_unsupported_reason,
+    _lane_table,
+    _LaneTable,
+    _policy_unsupported_reason,
+    _VecBus,
+    _VecCore,
+    _VecMemory,
 )
-from .bus import BusConfig, BusStats
-from .cache import CacheConfig, CacheStats
-from .core import _FP_OPS, CoreConfig, RunResult
-from .fpu import Fpu, FpuStats
-from .memory import MemoryConfig, MemoryStats
-from .pipeline import PipelineModel, PipelineStats
-from .prng import derive_seed
+from .core import RunResult
+from .fpu import FpuStats
+from .pipeline import PipelineStats
 from .schedule import UNSCHEDULABLE
 from .soc import ConcurrentRunResult, Platform
-from .tlb import TlbConfig, TlbStats
-from .trace import InstrKind, Trace
+from .trace import Trace
 
 try:  # numpy is optional: without it co-scheduled campaigns stay scalar.
     import numpy as _np
@@ -110,675 +109,10 @@ def concurrent_batch_unsupported_reason(
     """Why co-scheduling ``core_ids`` cannot be batch-executed on
     ``platform`` (None = supported)."""
     cfg = platform.config
-    for core_id in core_ids:
-        if not 0 <= core_id < cfg.num_cores:
-            return f"core_id {core_id} out of range [0, {cfg.num_cores})"
-        if core_id >= cfg.bus.num_masters:
-            return f"core_id {core_id} is not a bus master"
-    if cfg.bus.record_grants:
-        return "bus grant logging is not vectorized"
-    if not cfg.is_randomized:
-        # Deterministic platform: the degenerate path needs no numpy.
-        return None
-    if _np is None:
-        return "numpy is not available"
-    core = cfg.core
-    for label, cache in (("icache", core.icache), ("dcache", core.dcache)):
-        if cache.placement not in _VEC_PLACEMENTS:
-            return f"{label} placement {cache.placement!r} is not vectorized"
-        if cache.replacement not in _VEC_REPLACEMENTS:
-            return f"{label} replacement {cache.replacement!r} is not vectorized"
-    for label, tlb in (("itlb", core.itlb), ("dtlb", core.dtlb)):
-        if tlb.replacement not in _VEC_REPLACEMENTS:
-            return f"{label} replacement {tlb.replacement!r} is not vectorized"
-    return None
-
-
-# ----------------------------------------------------------------------
-# Trace compilation (trace-pure preprocessing, shared by all lanes)
-# ----------------------------------------------------------------------
-
-#: Columns of a lane table row.
-_COL_FETCH, _COL_IPAGE, _COL_PRE, _COL_MKIND, _COL_MADDR, _COL_DPAGE = range(6)
-
-#: Row memory kinds (match the scalar LOAD/STORE dispatch).
-_MK_NONE, _MK_LOAD, _MK_STORE = 0, 1, 2
-
-#: Order of the per-index statistic counters in the prefix array.
-_STAT_FIELDS = 9
-
-
-@dataclass
-class _LaneTable:
-    """One trace compiled to per-index facts for gather-based execution.
-
-    ``rows[j]`` holds ``(fetch_pc, itlb_page, pre_cost, mem_kind,
-    mem_addr, dtlb_page)`` for table index ``j``: ``fetch_pc`` is the
-    fetched byte address when the instruction probes the IL1 (-1
-    otherwise), the page columns are the virtual pages probed on page
-    changes (-1 otherwise), ``pre_cost`` is the instruction's pipeline
-    cost (plus FPU extra cycles for non-memory instructions) and
-    ``mem_addr`` the LOAD/STORE byte address.  Looping traces carry two
-    regions — ``[0, length)`` compiled cold, ``[length, 2*length)``
-    with the locality state carried over the wrap — plus the wrap
-    target; non-looping traces end in one inert padding row so finished
-    lanes gather in-bounds.  ``prefix[n]`` holds the nine pipeline/FPU
-    counters after ``n`` instructions of one pass (``totals`` after a
-    full pass); both are pass-independent because the pipeline and FPU
-    cost oracles are stateless given the trace fields.
-    """
-
-    rows: Any
-    prefix: Any
-    totals: Any
-    length: int
-    looping: bool
-
-
-#: Memoized lane tables, identity-keyed like the single-core segment
-#: cache (strong references + ``is`` checks make id reuse harmless).
-#: Campaigns build one engine per group/shard block; without the memo
-#: each would recompile the same opponent traces.
-_LANE_TABLE_CACHE: "OrderedDict" = OrderedDict()
-_LANE_TABLE_CACHE_SIZE = 128
-
-
-def _lane_table(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _LaneTable:
-    """Memoizing wrapper around :func:`_compile_lane_table`."""
-    key = (id(trace), id(core_cfg), looping)
-    entry = _LANE_TABLE_CACHE.get(key)
-    if entry is not None:
-        cached_trace, cached_cfg, compiled = entry
-        if cached_trace is trace and cached_cfg is core_cfg:
-            _LANE_TABLE_CACHE.move_to_end(key)
-            return compiled
-    compiled = _compile_lane_table(trace, core_cfg, looping)
-    _LANE_TABLE_CACHE[key] = (trace, core_cfg, compiled)
-    _LANE_TABLE_CACHE.move_to_end(key)
-    while len(_LANE_TABLE_CACHE) > _LANE_TABLE_CACHE_SIZE:
-        _LANE_TABLE_CACHE.popitem(last=False)
-    return compiled
-
-
-def _compile_lane_table(
-    trace: Trace, core_cfg: CoreConfig, looping: bool
-) -> _LaneTable:
-    """Fold the trace-pure per-instruction facts of ``trace`` into a
-    gather table (see :class:`_LaneTable`).
-
-    Reuses the real :class:`PipelineModel` and :class:`Fpu` so per-
-    instruction costs and statistics are the scalar ones by
-    construction.
-    """
-    np = _np
-    length = len(trace)
-    looping = looping and length > 0
-    pipeline = PipelineModel(core_cfg.pipeline)
-    fpu = Fpu(core_cfg.fpu)
-    iline_shift = core_cfg.icache.line_shift
-    ipage_shift = core_cfg.itlb.page_shift
-    dpage_shift = core_cfg.dtlb.page_shift
-    load_kind = int(InstrKind.LOAD)
-    store_kind = int(InstrKind.STORE)
-    fp_ops = _FP_OPS
-
-    kinds = trace.kinds
-    pcs = trace.pcs
-    addrs = trace.addrs
-    op_classes = trace.operand_classes
-    deps = trace.dep_distances
-    takens = trace.takens
-
-    prefix = np.zeros((length + 1, _STAT_FIELDS), dtype=np.int64)
-
-    def compile_pass(
-        locality: Tuple[int, int, int], record_stats: bool
-    ) -> Tuple[List[Tuple[int, int, int, int, int, int]], Tuple[int, int, int]]:
-        last_iline, last_ipage, last_dpage = locality
-        rows: List[Tuple[int, int, int, int, int, int]] = []
-        for i in range(length):
-            kind = kinds[i]
-            pc = pcs[i]
-            fetch_pc = -1
-            itlb_page = -1
-            iline = pc >> iline_shift
-            if iline != last_iline:
-                last_iline = iline
-                fetch_pc = pc
-                ipage = pc >> ipage_shift
-                if ipage != last_ipage:
-                    last_ipage = ipage
-                    itlb_page = ipage
-            pipe = pipeline.issue(kind, deps[i], takens[i])
-            if kind == load_kind or kind == store_kind:
-                addr = addrs[i]
-                dpage = addr >> dpage_shift
-                if dpage != last_dpage:
-                    last_dpage = dpage
-                    dtlb_page = dpage
-                else:
-                    dtlb_page = -1
-                mem_kind = _MK_LOAD if kind == load_kind else _MK_STORE
-                rows.append((fetch_pc, itlb_page, pipe, mem_kind, addr, dtlb_page))
-            else:
-                fp_op = fp_ops.get(kind)
-                extra = (
-                    fpu.latency(fp_op, op_classes[i]) - 1
-                    if fp_op is not None
-                    else 0
-                )
-                rows.append((fetch_pc, itlb_page, pipe + extra, _MK_NONE, -1, -1))
-            if record_stats:
-                pl = pipeline.stats
-                fp = fpu.stats
-                prefix[i + 1] = (
-                    pl.instructions,
-                    pl.base_cycles,
-                    pl.branch_bubbles,
-                    pl.load_use_stalls,
-                    pl.long_op_stalls,
-                    fp.ops,
-                    fp.div_ops,
-                    fp.sqrt_ops,
-                    fp.total_cycles,
-                )
-        return rows, (last_iline, last_ipage, last_dpage)
-
-    fresh_rows, end_locality = compile_pass((-1, -1, -1), record_stats=True)
-    if looping:
-        # Wrapped region: locality carried over the wrap.  The end-of-
-        # pass state is a fixed point (it depends only on the trace's
-        # last pc / last data access), so one wrapped region is exact
-        # for every pass after the first.
-        wrapped_rows, _ = compile_pass(end_locality, record_stats=False)
-        all_rows = fresh_rows + wrapped_rows
-    else:
-        # One inert padding row so finished lanes keep gathering
-        # in-bounds (their cursor is pinned there once the trace ends).
-        all_rows = fresh_rows + [(-1, -1, 0, _MK_NONE, -1, -1)]
-    return _LaneTable(
-        rows=np.array(all_rows, dtype=np.int64),
-        prefix=prefix,
-        totals=prefix[length].copy(),
-        length=length,
-        looping=looping,
-    )
-
-
-# ----------------------------------------------------------------------
-# Index-form platform components
-# ----------------------------------------------------------------------
-#
-# Single-core batch lanes all sit at the same trace position, so the
-# mask-form components of :mod:`repro.platform.batch` take one scalar
-# address per call.  Here lanes diverge *and* each event touches only a
-# small subset of the superlanes, so every component works in index
-# form: ``lanes`` arrays carry unique superlane (or run) indices and
-# all state access is gather → compute at event width → scatter.  The
-# uniqueness invariant (one selected lane per run, disjoint event
-# subsets) makes fancy-indexed ``+=`` updates exact.
-
-
-def _mix_values(values: Any, seeds_u64: Any) -> Any:
-    """Per-lane-value ``placement._mix``: the 64-bit finalizer applied
-    to one value *per lane* (cf. ``batch._mix_lanes`` for one shared
-    value across lanes)."""
-    np = _np
-    z = values.astype(np.uint64) * np.uint64(_GOLDEN) + seeds_u64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
-class _IdxRandomRepl:
-    """Random replacement: victims drawn from the per-lane PRNG."""
-
-    def __init__(self, prng: Any, num_ways: int) -> None:
-        self._prng = prng
-        self._ways = num_ways
-
-    def touch(self, lanes: Any, sets: Any, ways: Any) -> None:
-        return None
-
-    fill = touch
-
-    def victim(self, lanes: Any, sets: Any) -> Any:
-        return self._prng.randint_idx(self._ways, lanes)
-
-
-class _IdxLruRepl:
-    """True LRU via per-way last-touch sequence numbers.
-
-    Initial timestamps equal the way index (the scalar policy's initial
-    recency order) and every touch installs a strictly increasing
-    counter, so ``argmin`` over a set reproduces ``order[0]`` exactly;
-    only the *relative* stamp order within one (lane, set) ever
-    matters, so sharing one counter across lanes is exact.
-    """
-
-    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
-        np = _np
-        self._ts = np.tile(
-            np.arange(num_ways, dtype=np.int64), (lanes, num_sets, 1)
-        )
-        self._counter = num_ways
-
-    def touch(self, lanes: Any, sets: Any, ways: Any) -> None:
-        self._ts[lanes, sets, ways] = self._counter
-        self._counter += 1
-
-    fill = touch
-
-    def victim(self, lanes: Any, sets: Any) -> Any:
-        return self._ts[lanes, sets].argmin(axis=1)
-
-
-class _IdxRoundRobinRepl:
-    """FIFO-like rotation: per-lane per-set victim pointer."""
-
-    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
-        np = _np
-        self._ptr = np.zeros((lanes, num_sets), dtype=np.int64)
-        self._ways = num_ways
-
-    def touch(self, lanes: Any, sets: Any, ways: Any) -> None:
-        return None
-
-    fill = touch
-
-    def victim(self, lanes: Any, sets: Any) -> Any:
-        way = self._ptr[lanes, sets]
-        self._ptr[lanes, sets] = (way + 1) % self._ways
-        return way
-
-
-def _make_idx_replacement(
-    name: str,
-    lanes: int,
-    num_sets: int,
-    num_ways: int,
-    prng: Optional[Any],
-) -> Any:
-    if name == "random":
-        return _IdxRandomRepl(prng, num_ways)
-    if name == "lru":
-        return _IdxLruRepl(lanes, num_sets, num_ways)
-    if name == "round_robin":
-        return _IdxRoundRobinRepl(lanes, num_sets, num_ways)
-    raise BatchUnsupported(f"replacement {name!r} is not vectorized")
-
-
-class _LaneCache:
-    """Set-associative cache with per-lane tag stores, index form."""
-
-    def __init__(
-        self,
-        cfg: CacheConfig,
-        seeds: Sequence[int],
-        lanes: int,
-        prng_mode: str = "exact",
-    ) -> None:
-        np = _np
-        self.cfg = cfg
-        self.num_sets = cfg.num_sets
-        self.ways = cfg.ways
-        self.line_shift = cfg.line_shift
-        self.tags = np.full((lanes, self.num_sets, self.ways), -1, dtype=np.int64)
-        self.valid = np.zeros((lanes, self.num_sets), dtype=np.int64)
-        self._placement = cfg.placement
-        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
-        prng = (
-            _make_vec_prng(prng_mode, seeds)
-            if cfg.replacement == "random"
-            else None
-        )
-        self.repl = _make_idx_replacement(
-            cfg.replacement, lanes, self.num_sets, self.ways, prng
-        )
-        # Only LRU consumes touch/way bookkeeping; skipping it for the
-        # stateless policies saves an argmax per access.
-        self._track_touch = cfg.replacement == "lru"
-        self.read_hits = np.zeros(lanes, dtype=np.int64)
-        self.read_misses = np.zeros(lanes, dtype=np.int64)
-        self.write_hits = np.zeros(lanes, dtype=np.int64)
-        self.write_misses = np.zeros(lanes, dtype=np.int64)
-        self.evictions = np.zeros(lanes, dtype=np.int64)
-
-    def _set_index(self, lanes: Any, lines: Any) -> Any:
-        """Per-event set index of per-event ``lines``."""
-        np = _np
-        sets = self.num_sets
-        if self._placement == "modulo":
-            return lines % sets
-        seeds = self._seeds[lanes]
-        if self._placement == "random_modulo":
-            rotation = (
-                _mix_values(lines // sets, seeds) % np.uint64(sets)
-            ).astype(np.int64)
-            return (lines % sets + rotation) % sets
-        return (_mix_values(lines, seeds) % np.uint64(sets)).astype(np.int64)
-
-    def _allocate(self, lanes: Any, sets: Any, lines: Any) -> None:
-        counts = self.valid[lanes, sets]
-        free = counts < self.ways
-        way = counts
-        if not free.all():
-            full = ~free
-            way = counts.copy()
-            way[full] = self.repl.victim(lanes[full], sets[full])
-            self.evictions[lanes[full]] += 1
-        self.tags[lanes, sets, way] = lines
-        if free.any():
-            self.valid[lanes[free], sets[free]] += 1
-        self.repl.fill(lanes, sets, way)
-
-    def _access(self, lanes: Any, addrs: Any, is_read: bool) -> Any:
-        lines = addrs >> self.line_shift
-        sets = self._set_index(lanes, lines)
-        matches = self.tags[lanes, sets] == lines[:, None]
-        hit = matches.any(axis=1)
-        if self._track_touch and hit.any():
-            self.repl.touch(lanes[hit], sets[hit], matches[hit].argmax(axis=1))
-        if is_read:
-            self.read_hits[lanes] += hit
-            self.read_misses[lanes] += ~hit
-            allocate = True
-        else:
-            self.write_hits[lanes] += hit
-            self.write_misses[lanes] += ~hit
-            allocate = not self.cfg.write_through_no_allocate
-        if allocate and not hit.all():
-            miss = ~hit
-            self._allocate(lanes[miss], sets[miss], lines[miss])
-        return hit
-
-    def read(self, lanes: Any, addrs: Any) -> Any:
-        """Vectorized ``Cache.read`` for the indexed lanes; returns the
-        per-event hit mask."""
-        return self._access(lanes, addrs, is_read=True)
-
-    def write(self, lanes: Any, addrs: Any) -> Any:
-        """Vectorized ``Cache.write`` for the indexed lanes."""
-        return self._access(lanes, addrs, is_read=False)
-
-    def stats_for(self, lane: int) -> CacheStats:
-        """Per-lane counters as a scalar-shaped :class:`CacheStats`."""
-        return CacheStats(
-            read_hits=int(self.read_hits[lane]),
-            read_misses=int(self.read_misses[lane]),
-            write_hits=int(self.write_hits[lane]),
-            write_misses=int(self.write_misses[lane]),
-            evictions=int(self.evictions[lane]),
-            flushes=0,
-        )
-
-
-class _LaneTlb:
-    """Fully-associative TLB with per-lane entry stores, index form."""
-
-    def __init__(
-        self,
-        cfg: TlbConfig,
-        seeds: Sequence[int],
-        lanes: int,
-        prng_mode: str = "exact",
-    ) -> None:
-        np = _np
-        self.cfg = cfg
-        self.entries_per_lane = cfg.entries
-        self.entries = np.full((lanes, cfg.entries), -1, dtype=np.int64)
-        self.valid = np.zeros(lanes, dtype=np.int64)
-        prng = (
-            _make_vec_prng(prng_mode, seeds)
-            if cfg.replacement == "random"
-            else None
-        )
-        self.repl = _make_idx_replacement(
-            cfg.replacement, lanes, 1, cfg.entries, prng
-        )
-        self._track_touch = cfg.replacement == "lru"
-        self.hits = np.zeros(lanes, dtype=np.int64)
-        self.misses = np.zeros(lanes, dtype=np.int64)
-
-    def lookup(self, lanes: Any, pages: Any) -> Any:
-        """Vectorized ``Tlb.lookup`` for the indexed lanes; returns the
-        per-event added latency."""
-        matches = self.entries[lanes] == pages[:, None]
-        hit = matches.any(axis=1)
-        if self._track_touch and hit.any():
-            self.repl.touch(lanes[hit], 0, matches[hit].argmax(axis=1))
-        self.hits[lanes] += hit
-        self.misses[lanes] += ~hit
-        if not hit.all():
-            miss = ~hit
-            miss_lanes = lanes[miss]
-            counts = self.valid[miss_lanes]
-            free = counts < self.entries_per_lane
-            way = counts
-            if not free.all():
-                full = ~free
-                way = counts.copy()
-                way[full] = self.repl.victim(miss_lanes[full], 0)
-            self.entries[miss_lanes, way] = pages[miss]
-            if free.any():
-                self.valid[miss_lanes[free]] += 1
-            self.repl.fill(miss_lanes, 0, way)
-        return (~hit) * self.cfg.walk_penalty_cycles
-
-    def stats_for(self, lane: int) -> TlbStats:
-        """Per-lane counters as a scalar-shaped :class:`TlbStats`."""
-        return TlbStats(hits=int(self.hits[lane]), misses=int(self.misses[lane]))
-
-
-class _LaneBus:
-    """Multi-master shared bus with per-run arbitration state.
-
-    Mirrors :class:`~repro.platform.bus.Bus` exactly: one busy horizon
-    and round-robin grant pointer per run, aggregate plus per-master
-    contention/transaction splits (kept per scheduled core on the
-    (cores, runs) grid; :meth:`stats_for` reconstructs ``BusStats``'s
-    dicts with keys exactly for masters that issued at least one
-    transaction, as the scalar dict-growing updates do).  Within one
-    global step the scheduler selects at most one core per run, so an
-    event's run indices are unique and the scatters race-free.
-    """
-
-    def __init__(self, cfg: BusConfig, runs: int, core_ids: Sequence[int]) -> None:
-        np = _np
-        self.cfg = cfg
-        self.num_masters = cfg.num_masters
-        self.core_ids = list(core_ids)
-        self._master_ids = np.array(core_ids, dtype=np.int64)
-        self.busy_until = np.zeros(runs, dtype=np.int64)
-        self.pointer = np.zeros(runs, dtype=np.int64)
-        self.transactions = np.zeros(runs, dtype=np.int64)
-        self.contention = np.zeros(runs, dtype=np.int64)
-        self.transfer_total = np.zeros(runs, dtype=np.int64)
-        self.transactions_by_core = np.zeros((len(core_ids), runs), dtype=np.int64)
-        self.contention_by_core = np.zeros((len(core_ids), runs), dtype=np.int64)
-        self._line_cost = cfg.line_transfer_cycles + cfg.arbitration_cycles
-        self._word_cost = cfg.word_transfer_cycles + cfg.arbitration_cycles
-        self._arb = cfg.arbitration_cycles
-        self._strict = cfg.strict_rr_arbitration
-
-    def request(self, rows: Any, run_sel: Any, now: Any, is_line: bool) -> Any:
-        """Vectorized ``Bus.request``: one transaction per indexed run.
-
-        ``rows`` holds the issuing cores' *row* indices (positions in
-        ``core_ids``), ``run_sel`` the unique run indices and ``now``
-        the issuers' local times.  Returns the wait+transfer cost.
-        """
-        np = _np
-        wait = self.busy_until[run_sel] - now
-        np.maximum(wait, 0, out=wait)
-        masters = self.num_masters
-        master_ids = self._master_ids[rows]
-        if masters > 1:
-            distance = (master_ids - self.pointer[run_sel]) % masters
-            if self._strict:
-                wait += distance * self._arb
-            else:
-                wait += np.where(distance == 0, 0, self._arb)
-        transfer = self._line_cost if is_line else self._word_cost
-        total = wait + transfer
-        self.busy_until[run_sel] = now + total
-        self.pointer[run_sel] = (master_ids + 1) % masters
-        self.transactions[run_sel] += 1
-        self.contention[run_sel] += wait
-        self.transfer_total[run_sel] += transfer
-        self.transactions_by_core[rows, run_sel] += 1
-        self.contention_by_core[rows, run_sel] += wait
-        return total
-
-    def stats_for(self, run: int) -> BusStats:
-        """Per-run counters as a scalar-shaped :class:`BusStats`."""
-        transactions: Dict[int, int] = {}
-        contention: Dict[int, int] = {}
-        for index, core_id in enumerate(self.core_ids):
-            count = int(self.transactions_by_core[index, run])
-            if count > 0:
-                transactions[core_id] = count
-                contention[core_id] = int(self.contention_by_core[index, run])
-        return BusStats(
-            transactions=int(self.transactions[run]),
-            contention_cycles=int(self.contention[run]),
-            transfer_cycles=int(self.transfer_total[run]),
-            contention_by_master=contention,
-            transactions_by_master=transactions,
-        )
-
-
-class _LaneMemory:
-    """DRAM controller with per-run open-row/refresh state and the full
-    per-run counter breakdown of :class:`MemoryStats`."""
-
-    def __init__(self, cfg: MemoryConfig, runs: int) -> None:
-        np = _np
-        self.cfg = cfg
-        self._closed = cfg.page_policy == "closed"
-        if not self._closed:
-            self.open_rows = np.full((runs, cfg.num_banks), -1, dtype=np.int64)
-        self.reads = np.zeros(runs, dtype=np.int64)
-        self.writes = np.zeros(runs, dtype=np.int64)
-        self.row_hits = np.zeros(runs, dtype=np.int64)
-        self.row_conflicts = np.zeros(runs, dtype=np.int64)
-        self.refresh_stalls = np.zeros(runs, dtype=np.int64)
-        self.total_cycles = np.zeros(runs, dtype=np.int64)
-
-    def access(self, run_sel: Any, addrs: Any, is_write: bool, now: Any) -> Any:
-        """Vectorized ``MemoryController.access`` for the indexed runs.
-
-        Returns the device latency — a plain int on the constant
-        closed-page path, else a per-event array."""
-        np = _np
-        cfg = self.cfg
-        base = cfg.cas_cycles + (cfg.write_cycles if is_write else 0)
-        if self._closed:
-            cost: Any = base + cfg.activate_cycles
-        else:
-            row_index = addrs // cfg.row_bytes
-            bank = row_index % cfg.num_banks
-            row = row_index // cfg.num_banks
-            open_row = self.open_rows[run_sel, bank]
-            empty = open_row < 0
-            conflict = (open_row != row) & ~empty
-            cost = (
-                base
-                + np.where(empty, cfg.activate_cycles, 0)
-                + np.where(conflict, cfg.precharge_cycles + cfg.activate_cycles, 0)
-            )
-            self.row_hits[run_sel] += (open_row == row) & ~empty
-            self.row_conflicts[run_sel] += conflict
-            self.open_rows[run_sel, bank] = row
-        if is_write:
-            self.writes[run_sel] += 1
-        else:
-            self.reads[run_sel] += 1
-        interval = cfg.refresh_interval_cycles
-        if interval > 0:
-            # Refresh phase is 0 after every platform reset (the run
-            # protocol never calls set_refresh_phase), so the per-run
-            # ``now`` alone determines the collision.
-            position = now % interval
-            stalled = position < cfg.refresh_stall_cycles
-            self.refresh_stalls[run_sel] += stalled
-            cost = cost + np.where(stalled, cfg.refresh_stall_cycles - position, 0)
-        self.total_cycles[run_sel] += cost
-        return cost
-
-    def stats_for(self, run: int) -> MemoryStats:
-        """Per-run counters as a scalar-shaped :class:`MemoryStats`."""
-        return MemoryStats(
-            reads=int(self.reads[run]),
-            writes=int(self.writes[run]),
-            row_hits=int(self.row_hits[run]),
-            row_conflicts=int(self.row_conflicts[run]),
-            refresh_stalls=int(self.refresh_stalls[run]),
-            total_cycles=int(self.total_cycles[run]),
-        )
-
-
-class _LaneStoreBuffer:
-    """Per-lane write-through store buffer ring, index form.
-
-    The scalar store path drains ready entries *before every store* and
-    then stalls on a still-full buffer.  Draining is observable only
-    through that full check (entry ready times are fixed at push time),
-    so the ring is drained lazily — exactly when a store finds the lane
-    full.  At that moment the set of entries with ``ready <= now``
-    equals the set the scalar path would have popped across its earlier
-    per-store drains (``now`` is monotone per lane), so the post-drain
-    occupancy — and hence the stall decision — is bit-identical.
-    """
-
-    def __init__(self, lanes: int, depth: int) -> None:
-        np = _np
-        self.depth = depth
-        self.ready = np.zeros((lanes, depth), dtype=np.int64)
-        self.head = np.zeros(lanes, dtype=np.int64)
-        self.count = np.zeros(lanes, dtype=np.int64)
-        self._offsets = np.arange(depth)[None, :]
-
-    def prepare_store(self, lanes: Any, now: Any) -> None:
-        """Make room for one entry per indexed lane: lazy drain of full
-        lanes, then the scalar full-buffer stall (``now`` is advanced in
-        place to the oldest entry's ready time on stalled lanes)."""
-        np = _np
-        full = self.count[lanes] >= self.depth
-        if full.any():
-            full_lanes = lanes[full]
-            self._drain(full_lanes, now[full_lanes])
-            still = self.count[full_lanes] >= self.depth
-            if still.any():
-                stalled = full_lanes[still]
-                head = self.head[stalled]
-                now[stalled] = np.maximum(now[stalled], self.ready[stalled, head])
-                self.head[stalled] = (head + 1) % self.depth
-                self.count[stalled] -= 1
-
-    def _drain(self, lanes: Any, now: Any) -> None:
-        """Pop every leading entry already drained at ``now``.
-
-        Gathers each lane's ring in FIFO order and pops the longest
-        ready *prefix* — a ready entry queued behind a stalled one stays
-        buffered, exactly as in the scalar pop-while-ready loop.
-        """
-        np = _np
-        head = self.head[lanes]
-        slots = (head[:, None] + self._offsets) % self.depth
-        fifo = self.ready[lanes[:, None], slots]
-        poppable = (fifo <= now[:, None]) & (
-            self._offsets < self.count[lanes][:, None]
-        )
-        pops = np.logical_and.accumulate(poppable, axis=1).sum(axis=1)
-        self.head[lanes] = (head + pops) % self.depth
-        self.count[lanes] -= pops
-
-    def push(self, lanes: Any, ready_at: Any) -> None:
-        """Append one entry per indexed lane."""
-        tail = (self.head[lanes] + self.count[lanes]) % self.depth
-        self.ready[lanes, tail] = ready_at
-        self.count[lanes] += 1
+    reason = _cores_unsupported_reason(cfg, core_ids)
+    if reason is None and cfg.bus.record_grants:
+        reason = "bus grant logging is not vectorized"
+    return reason or _policy_unsupported_reason(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -833,28 +167,11 @@ class _ConcurrentEngine:
         self._cols = tuple(
             np.ascontiguousarray(rows_all[:, column]) for column in range(6)
         )
-        # The scalar reset path: per-core seed, then per-component
-        # sub-seeds — identical derivation chain, identical streams.
-        # Superlane order is core-major (superlane = ci*runs + r).
-        icache_seeds: List[int] = []
-        dcache_seeds: List[int] = []
-        itlb_seeds: List[int] = []
-        dtlb_seeds: List[int] = []
-        for core_id in core_ids:
-            for seed in seeds:
-                core_seed = derive_seed(seed, core_id + 101)
-                icache_seeds.append(derive_seed(core_seed, core_id, 0))
-                dcache_seeds.append(derive_seed(core_seed, core_id, 1))
-                itlb_seeds.append(derive_seed(core_seed, core_id, 2))
-                dtlb_seeds.append(derive_seed(core_seed, core_id, 3))
-        prng_mode = cfg.prng_mode
-        self.icache = _LaneCache(core_cfg.icache, icache_seeds, lanes, prng_mode)
-        self.dcache = _LaneCache(core_cfg.dcache, dcache_seeds, lanes, prng_mode)
-        self.itlb = _LaneTlb(core_cfg.itlb, itlb_seeds, lanes, prng_mode)
-        self.dtlb = _LaneTlb(core_cfg.dtlb, dtlb_seeds, lanes, prng_mode)
-        self.store_buffer = _LaneStoreBuffer(lanes, core_cfg.store_buffer_depth)
-        self.bus = _LaneBus(cfg.bus, runs, core_ids)
-        self.memory = _LaneMemory(cfg.memory, runs)
+        # Private components on the core-major superlane axis
+        # (superlane = ci*runs + r); shared ones per run.
+        self.core = _VecCore(core_cfg, seeds, core_ids, cfg.prng_mode)
+        self.bus = _VecBus(cfg.bus, runs, core_ids)
+        self.memory = _VecMemory(cfg.memory, runs)
         self.now = np.zeros(lanes, dtype=np.int64)
         self.n = np.zeros(lanes, dtype=np.int64)
         self.j = np.zeros(lanes, dtype=np.int64)
@@ -887,11 +204,11 @@ class _ConcurrentEngine:
         j = self.j
         now2 = now.reshape(num_cores, runs)
         n2 = n.reshape(num_cores, runs)
-        icache = self.icache
-        dcache = self.dcache
-        itlb = self.itlb
-        dtlb = self.dtlb
-        store_buffer = self.store_buffer
+        icache = self.core.icache
+        dcache = self.core.dcache
+        itlb = self.core.itlb
+        dtlb = self.core.dtlb
+        store_buffer = self.core.store_buffer
         bus = self.bus
         memory = self.memory
         col_fetch, col_ipage, col_pre, col_mkind, col_addr, col_dpage = self._cols
@@ -926,18 +243,17 @@ class _ConcurrentEngine:
                 ipage = col_ipage[j_i[f_sel]]
                 i_sel = ipage >= 0
                 if i_sel.any():
-                    walk_idx = fidx[i_sel]
-                    now[walk_idx] += itlb.lookup(walk_idx, ipage[i_sel])
+                    itlb.lookup_idx(fidx[i_sel], ipage[i_sel], now)
                 faddr = fetch[f_sel]
-                hit = icache.read(fidx, faddr)
+                hit = icache.read_idx(fidx, faddr)
                 if not hit.all():
                     miss = ~hit
                     miss_idx = fidx[miss]
                     now_m = now[miss_idx]
-                    bus_cost = bus.request(
+                    bus_cost = bus.request_idx(
                         rows[f_sel][miss], run_sel[f_sel][miss], now_m, True
                     )
-                    mem_cost = memory.access(
+                    mem_cost = memory.access_idx(
                         run_sel[f_sel][miss], faddr[miss], False, now_m + bus_cost
                     )
                     now[miss_idx] = now_m + bus_cost + mem_cost
@@ -954,20 +270,19 @@ class _ConcurrentEngine:
                 dpage = col_dpage[j_i[d_sel]]
                 t_sel = dpage >= 0
                 if t_sel.any():
-                    walk_idx = idx[d_sel][t_sel]
-                    now[walk_idx] += dtlb.lookup(walk_idx, dpage[t_sel])
+                    dtlb.lookup_idx(idx[d_sel][t_sel], dpage[t_sel], now)
                 if any_load:
                     lidx = idx[l_sel]
                     laddr = col_addr[j_i[l_sel]]
-                    hit = dcache.read(lidx, laddr)
+                    hit = dcache.read_idx(lidx, laddr)
                     if not hit.all():
                         miss = ~hit
                         miss_idx = lidx[miss]
                         now_m = now[miss_idx]
-                        bus_cost = bus.request(
+                        bus_cost = bus.request_idx(
                             rows[l_sel][miss], run_sel[l_sel][miss], now_m, True
                         )
-                        mem_cost = memory.access(
+                        mem_cost = memory.access_idx(
                             run_sel[l_sel][miss],
                             laddr[miss],
                             False,
@@ -982,12 +297,12 @@ class _ConcurrentEngine:
                     # do not advance ``now``.
                     sidx = idx[s_sel]
                     saddr = col_addr[j_i[s_sel]]
-                    dcache.write(sidx, saddr)
+                    dcache.write_idx(sidx, saddr)
                     store_buffer.prepare_store(sidx, now)
                     now_s = now[sidx]
                     store_runs = run_sel[s_sel]
-                    bus_cost = bus.request(rows[s_sel], store_runs, now_s, False)
-                    mem_cost = memory.access(store_runs, saddr, True, now_s)
+                    bus_cost = bus.request_idx(rows[s_sel], store_runs, now_s, False)
+                    mem_cost = memory.access_idx(store_runs, saddr, True, now_s)
                     store_buffer.push(sidx, now_s + bus_cost + mem_cost)
             # -- cursors: advance the executed superlanes; looping
             # co-runners wrap from the end of the wrapped region back to
@@ -1032,10 +347,10 @@ class _ConcurrentEngine:
             per_core[core_id] = RunResult(
                 cycles=int(self.now[lane]),
                 instructions=n,
-                icache=self.icache.stats_for(lane),
-                dcache=self.dcache.stats_for(lane),
-                itlb=self.itlb.stats_for(lane),
-                dtlb=self.dtlb.stats_for(lane),
+                icache=self.core.icache.stats_for(lane),
+                dcache=self.core.dcache.stats_for(lane),
+                itlb=self.core.itlb.stats_for(lane),
+                dtlb=self.core.dtlb.stats_for(lane),
                 fpu=fpu,
                 pipeline=pipeline,
                 core_id=core_id,

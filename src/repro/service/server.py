@@ -21,7 +21,10 @@ POST      /campaigns/{id}/analyses      re-analyse a finished campaign with an
 Error contract: invalid request bodies are ``400 {"error": ...}``
 (exactly the ``ValueError`` a local construction would raise), unknown
 jobs/routes are 404, and asking for the artifact of an unfinished job
-is 409 with the job's current state, so clients can poll on it.
+is 409 with the job's current state, so clients can poll on it.  A
+``Content-Length`` that is not a non-negative integer, or a body that
+is not UTF-8, is 400; a declared length above :data:`MAX_BODY_BYTES`
+is 413, refused before any of the body is read.
 
 Built on :class:`http.server.ThreadingHTTPServer` — no third-party
 dependency — with request routing factored into
@@ -35,7 +38,7 @@ import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api.artifacts import ArtifactCorrupt
 from ..api.registry import registry_schema
@@ -45,6 +48,11 @@ from .metrics import ServiceMetrics
 from .store import PersistentStore
 
 __all__ = ["CampaignService", "CampaignServer", "serve"]
+
+#: Largest request body the daemon reads, in bytes.  Request documents
+#: are a few hundred bytes; the cap bounds what one client can make a
+#: handler thread buffer.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _HTTPError(Exception):
@@ -214,13 +222,42 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
 
+    def _read_body(self) -> str:
+        """The request body as text, or an :class:`_HTTPError` for a bad
+        or oversized ``Content-Length`` or a non-UTF-8 body."""
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header) if header else 0
+        except ValueError:
+            raise _HTTPError(
+                400, f"Content-Length {header!r} is not an integer"
+            ) from None
+        if length < 0:
+            raise _HTTPError(400, f"Content-Length {length} is negative")
+        if length > MAX_BODY_BYTES:
+            raise _HTTPError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        raw = self.rfile.read(length) if length else b""
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _HTTPError(400, f"request body is not UTF-8: {exc}") from None
+
     def _handle(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8") if length else ""
+        response: Optional[Response] = None
+        try:
+            body = self._read_body()
+        except _HTTPError as exc:
+            # A body left unread would be parsed as the next request.
+            self.close_connection = True
+            response = _json_response(exc.status, {"error": str(exc)})
         started = time.monotonic()
-        status, text, content_type = self.service.dispatch(
-            method, self.path, body
-        )
+        if response is None:
+            response = self.service.dispatch(method, self.path, body)
+        status, text, content_type = response
         elapsed_ms = (time.monotonic() - started) * 1000.0
         label = self.service.endpoint_label(method, self.path)
         self.service.metrics.incr(f"http_requests_total.{label}.{status}")

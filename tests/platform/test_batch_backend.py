@@ -148,13 +148,14 @@ def platform_cases(draw):
         st.sampled_from(["modulo", "random_modulo", "hash_random"])
     )
     replacement = draw(st.sampled_from(["random", "lru", "round_robin"]))
-    tlb_replacement = draw(st.sampled_from(["random", "lru"]))
+    tlb_replacement = draw(st.sampled_from(["random", "lru", "round_robin"]))
     cache = CacheConfig(
         size_bytes=ways * sets * line_bytes,
         line_bytes=line_bytes,
         ways=ways,
         placement=placement,
         replacement=replacement,
+        write_through_no_allocate=draw(st.booleans()),
     )
     tlb = TlbConfig(
         entries=draw(st.integers(min_value=2, max_value=8)),

@@ -10,7 +10,7 @@ These tests pin that contract:
 * direct parity on the paper platforms against each opponent family,
 * non-default analysis cores and non-looping co-runners,
 * hypothesis-driven parity over the scenario x placement x replacement
-  x bus arbitration x memory configuration space,
+  x write-allocate x bus arbitration x memory configuration space,
 * lane independence (a run's result must not depend on its batch
   companions),
 * the deterministic degenerate path and the unsupported/numpy-absent
@@ -179,10 +179,11 @@ def concurrent_cases(draw):
             st.sampled_from(["modulo", "random_modulo", "hash_random"])
         ),
         replacement=draw(st.sampled_from(["random", "lru", "round_robin"])),
+        write_through_no_allocate=draw(st.booleans()),
     )
     tlb = TlbConfig(
         entries=draw(st.integers(min_value=2, max_value=8)),
-        replacement=draw(st.sampled_from(["random", "lru"])),
+        replacement=draw(st.sampled_from(["random", "lru", "round_robin"])),
     )
     core = CoreConfig(
         icache=cache,

@@ -10,7 +10,9 @@ The load-bearing guarantees:
 * the re-analysis endpoint reproduces a local pipeline run exactly.
 """
 
+import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -19,6 +21,7 @@ from repro.api import AnalysisRequest, CampaignRequest, execute_request
 from repro.api.artifacts import CampaignArtifact, analysis_summary
 from repro.core import AnalysisPipeline
 from repro.service import ServiceClient, ServiceError, serve
+from repro.service.server import MAX_BODY_BYTES
 
 
 def small_request(**overrides):
@@ -80,6 +83,56 @@ class TestPlumbing:
             "GET", "/campaigns/job-000000/artifact", ""
         )
         assert status == 404  # unknown id is 404; state 409 covered below
+
+
+def raw_post(server, content_length, body=b""):
+    """POST ``body`` to /campaigns with a verbatim Content-Length header
+    over a raw socket; returns (status, decoded JSON body)."""
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /campaigns HTTP/1.1\r\nHost: test\r\n"
+            + b"Content-Length: " + content_length + b"\r\n\r\n"
+            + body
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+class TestRequestBodyBounds:
+    def test_non_integer_length_400(self, server):
+        status, body = raw_post(server, b"ten")
+        assert status == 400 and "not an integer" in body["error"]
+
+    def test_negative_length_400_without_blocking(self, server):
+        status, body = raw_post(server, b"-1", b"{}")
+        assert status == 400 and "negative" in body["error"]
+
+    def test_oversized_length_413_without_reading(self, server):
+        # No body follows: the refusal must not wait for one.
+        status, body = raw_post(server, str(MAX_BODY_BYTES + 1).encode())
+        assert status == 413 and "limit" in body["error"]
+
+    def test_non_utf8_body_400(self, server):
+        payload = b'{"workload": "\xff\xfe"}'
+        status, body = raw_post(server, str(len(payload)).encode(), payload)
+        assert status == 400 and "UTF-8" in body["error"]
+
+    def test_rejections_counted(self, server, client):
+        raw_post(server, b"ten")
+        raw_post(server, b"-5")
+        raw_post(server, str(MAX_BODY_BYTES + 1).encode())
+        raw_post(server, b"1", b"\xff")
+        counters = client.metrics()["counters"]
+        assert counters["http_requests_total.POST /campaigns.400"] == 3
+        assert counters["http_requests_total.POST /campaigns.413"] == 1
+
+    def test_body_at_limit_is_read(self, server):
+        payload = b" " * (MAX_BODY_BYTES - 2) + b"[]"
+        status, body = raw_post(server, str(len(payload)).encode(), payload)
+        # Read and parsed: rejected as a non-object, not by the cap.
+        assert status == 400 and "JSON object" in body["error"]
 
 
 class TestEndToEnd:
