@@ -18,6 +18,12 @@ Records are stored column-wise in parallel Python lists: the simulator's
 inner loop indexes plain lists, which is measurably faster than attribute
 access on per-instruction objects and keeps memory compact for the
 3,000-run campaigns.
+
+The program compiler extends the columns directly, from templates it
+has already checked (memory kinds carry a data address, all other
+kinds carry -1).  :meth:`Trace.append` and :class:`TraceBuilder` stay
+the validated entry for traces built by hand, such as the opponent
+tasks of :mod:`repro.workloads.opponents`.
 """
 
 from __future__ import annotations
@@ -158,7 +164,7 @@ class Trace:
 
 
 class TraceBuilder:
-    """Convenience emitter used by the program compiler.
+    """Convenience emitter for hand-built traces.
 
     Tracks the program counter automatically: each emitted instruction
     advances ``pc`` by the instruction size (4 bytes, SPARC-like), and

@@ -21,7 +21,7 @@ instruction at the site and one return instruction per program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .dsl import ArrayDecl, Block, Call, If, Loop, Node, Program
 
@@ -101,6 +101,12 @@ class LinkedImage:
     array_decls: Dict[Tuple[str, str], ArrayDecl] = field(default_factory=dict)
     code_end: int = 0
     data_end: int = 0
+    #: Trace templates compiled against this image by
+    #: :mod:`repro.programs.compiler`, keyed by (node id, entry pc);
+    #: they live and die with the image and take no part in equality.
+    trace_templates: Dict[Tuple[int, int], Tuple[Any, Any]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def code_base(self, program_name: str) -> int:
         """Code base address of ``program_name``."""
