@@ -3,8 +3,8 @@
 A pWCET campaign executes the *same* instruction trace thousands of
 times, varying only the per-run platform randomization (placement
 seeds, replacement victims).  The scalar interpreter
-(:class:`~repro.platform.core.CoreStepper`) pays the Python
-per-instruction dispatch cost once per run; this module reshapes the
+(:meth:`~repro.platform.core.Core.execute`) pays the Python dispatch
+cost of every event once per run; this module reshapes the
 computation so it is paid once per *trace*: all ``R`` replications
 advance through the trace together, with numpy arrays holding the
 per-run divergent state —
@@ -20,7 +20,13 @@ per-run divergent state —
 Everything *trace-pure* — fetch/line/page locality, pipeline hazards,
 FPU latencies — is precompiled once per trace into an event list with
 static-cost gaps, so only instructions that touch per-run state (fetch
-probes on new lines, loads, stores) cost vector work.
+probes on new lines, loads, stores) cost vector work.  The single-core
+engine drains the very compile the scalar ``Core.execute`` drains
+(:func:`~repro.platform.core._compile_segment`, memoized here per
+trace); the co-scheduled engine's per-instruction lane tables take
+their costs from the same per-key oracle
+(:func:`~repro.platform.core._issue_table`), so the cost model has one
+home.
 
 One component set, two forms
 ----------------------------
@@ -50,7 +56,10 @@ For every supported configuration the engine reproduces the scalar
 interpreter *exactly*: per-run cycle counts, hit/miss/eviction
 counters and PRNG draw sequences are equal bit for bit to
 ``[platform.run(trace, seed, core_id) for seed in seeds]`` (verified
-by ``tests/platform/test_batch_backend.py``).  Per-run randomization
+by ``tests/platform/test_batch_backend.py``; the shared compile itself
+is checked against the per-instruction
+:class:`~repro.platform.core.CoreStepper` by
+``tests/platform/test_compiled_execute.py``).  Per-run randomization
 streams are keyed, as in the scalar path, by the derivation chain
 ``derive_seed(run_seed, core_id + 101)`` → per-component sub-seeds, so
 a run's results depend only on ``(run_seed, trace)`` — never on which
@@ -76,14 +85,27 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .bus import BusConfig, BusStats
 from .cache import CacheConfig, CacheStats
-from .core import _FP_OPS, CoreConfig, RunResult
-from .fpu import Fpu, FpuStats
+from .core import (
+    _MEMORY_KINDS,
+    _MK_LOAD,
+    _MK_NONE,
+    _STAT_FIELDS,
+    CoreConfig,
+    RunResult,
+    _accumulate_fpu,
+    _accumulate_pipeline,
+    _compile_segment,
+    _CompiledSegment,
+    _issue_keys,
+    _issue_table,
+)
+from .fpu import FpuStats
 from .memory import MemoryConfig, MemoryStats
-from .pipeline import PipelineModel, PipelineStats
+from .pipeline import PipelineStats
 from .prng import CombinedLfsrPrng, Lfsr, SplitMix64, derive_seed
 from .soc import Platform, PlatformConfig
 from .tlb import TlbConfig, TlbStats
-from .trace import InstrKind, Trace
+from .trace import Trace
 
 # The batch engine is elementwise and campaigns parallelize across
 # forked shard processes, so intra-op BLAS/OpenMP threading can only
@@ -184,12 +206,6 @@ def batch_unsupported_reason(
 # Trace compilation (trace-pure preprocessing, shared by all runs)
 # ----------------------------------------------------------------------
 
-#: Memory kinds of a compiled instruction (the scalar LOAD/STORE split).
-_MK_NONE, _MK_LOAD, _MK_STORE = 0, 1, 2
-
-#: Number of pipeline/FPU counters in a lane table's prefix rows.
-_STAT_FIELDS = 9
-
 #: Per-instruction row of :func:`_compile_pass`: ``(fetch_pc,
 #: itlb_page, cost, mem_kind, mem_addr, dtlb_page)``.
 _Row = Tuple[int, int, int, int, int, int]
@@ -234,46 +250,31 @@ def _compile_pass(
     trace: Trace,
     core_cfg: CoreConfig,
     locality: _Locality,
-    prefix: Optional[Any] = None,
-) -> Tuple[List[_Row], _Locality, PipelineStats, FpuStats]:
-    """One pass over ``trace``: locality, pipeline and FPU per instruction.
+    costs: Sequence[int],
+) -> Tuple[List[_Row], _Locality]:
+    """One pass over ``trace``: one :data:`_Row` per instruction.
 
     ``locality`` is the ``(line, itlb page, dtlb page)`` state the pass
     starts from (``(-1, -1, -1)`` for a fresh
     :class:`~repro.platform.core.CoreStepper`).  Row ``i`` holds
     ``fetch_pc`` — the fetched byte address when the instruction probes
     the IL1, else -1 — the ITLB/DTLB pages probed on page changes (-1
-    otherwise), the instruction's pipeline cost (plus FPU extra cycles
-    for non-memory instructions), its memory kind and the LOAD/STORE
-    byte address.  When ``prefix`` is given, ``prefix[i + 1]`` receives
-    the nine pipeline/FPU counters after ``i + 1`` instructions.
-
-    Reuses the real :class:`PipelineModel` and :class:`Fpu` so costs
-    and statistics are the scalar ones by construction; both oracles
-    are stateless given the trace fields, so every pass costs the same.
+    otherwise), the instruction's static cost ``costs[i]`` (from
+    :func:`~repro.platform.core._issue_table`), its memory kind and the
+    LOAD/STORE byte address.  Returns the rows and the end locality.
     """
-    pipeline = PipelineModel(core_cfg.pipeline)
-    fpu = Fpu(core_cfg.fpu)
     iline_shift = core_cfg.icache.line_shift
     ipage_shift = core_cfg.itlb.page_shift
     dpage_shift = core_cfg.dtlb.page_shift
-    load_kind = int(InstrKind.LOAD)
-    store_kind = int(InstrKind.STORE)
-    fp_ops = _FP_OPS
-    pl = pipeline.stats
-    fp = fpu.stats
+    memory_kinds = _MEMORY_KINDS
 
     kinds = trace.kinds
     pcs = trace.pcs
     addrs = trace.addrs
-    op_classes = trace.operand_classes
-    deps = trace.dep_distances
-    takens = trace.takens
 
     last_iline, last_ipage, last_dpage = locality
     rows: List[_Row] = []
     for i in range(len(kinds)):
-        kind = kinds[i]
         pc = pcs[i]
         fetch_pc = -1
         itlb_page = -1
@@ -285,55 +286,19 @@ def _compile_pass(
             if ipage != last_ipage:
                 last_ipage = ipage
                 itlb_page = ipage
-        pipe = pipeline.issue(kind, deps[i], takens[i])
-        if kind == load_kind or kind == store_kind:
-            addr = addrs[i]
-            dpage = addr >> dpage_shift
-            if dpage != last_dpage:
-                last_dpage = dpage
-                dtlb_page = dpage
-            else:
-                dtlb_page = -1
-            mem_kind = _MK_LOAD if kind == load_kind else _MK_STORE
-            rows.append((fetch_pc, itlb_page, pipe, mem_kind, addr, dtlb_page))
+        mem_kind = memory_kinds.get(kinds[i], _MK_NONE)
+        if mem_kind == _MK_NONE:
+            rows.append((fetch_pc, itlb_page, costs[i], _MK_NONE, -1, -1))
+            continue
+        addr = addrs[i]
+        dpage = addr >> dpage_shift
+        if dpage != last_dpage:
+            last_dpage = dpage
+            dtlb_page = dpage
         else:
-            fp_op = fp_ops.get(kind)
-            if fp_op is not None:
-                pipe += fpu.latency(fp_op, op_classes[i]) - 1
-            rows.append((fetch_pc, itlb_page, pipe, _MK_NONE, -1, -1))
-        if prefix is not None:
-            prefix[i + 1] = (
-                pl.instructions,
-                pl.base_cycles,
-                pl.branch_bubbles,
-                pl.load_use_stalls,
-                pl.long_op_stalls,
-                fp.ops,
-                fp.div_ops,
-                fp.sqrt_ops,
-                fp.total_cycles,
-            )
-    return rows, (last_iline, last_ipage, last_dpage), pl, fp
-
-
-@dataclass
-class _CompiledSegment:
-    """One trace reduced to its per-run-divergent events.
-
-    ``events`` tuples are ``(gap, fetch_pc, itlb_page, mem_kind, addr,
-    dtlb_page, pre_cost)``: ``gap`` is the static cycle cost since the
-    previous event (pipeline + FPU of the instructions in between,
-    including the post-fetch cost of fetch-only events), the probe
-    columns are those of :func:`_compile_pass` and ``pre_cost`` is the
-    event instruction's own pipeline cost, charged between its fetch
-    and its data access exactly as the scalar interpreter does.
-    """
-
-    events: List[Tuple[int, int, int, int, int, int, int]]
-    tail: int
-    length: int
-    pipeline: PipelineStats
-    fpu: FpuStats
+            dtlb_page = -1
+        rows.append((fetch_pc, itlb_page, costs[i], mem_kind, addr, dtlb_page))
+    return rows, (last_iline, last_ipage, last_dpage)
 
 
 #: Memoized compiled segments (see :func:`_memoized`).
@@ -342,40 +307,14 @@ _SEGMENT_CACHE_SIZE = 256
 
 
 def _compiled_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
-    """Memoizing wrapper around :func:`_compile_segment`."""
+    """Memoizing wrapper around :func:`~repro.platform.core._compile_segment`
+    (the compile :meth:`~repro.platform.core.Core.execute` drains)."""
     return _memoized(
         _SEGMENT_CACHE,
         _SEGMENT_CACHE_SIZE,
         trace,
         core_cfg,
         lambda: _compile_segment(trace, core_cfg),
-    )
-
-
-def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
-    """Fold the per-instruction rows of ``trace`` into an event list.
-
-    Locality restarts per segment, matching a fresh
-    :class:`~repro.platform.core.CoreStepper`.
-    """
-    rows, _, pipeline, fpu = _compile_pass(trace, core_cfg, (-1, -1, -1))
-    events: List[Tuple[int, int, int, int, int, int, int]] = []
-    gap = 0
-    for fetch_pc, itlb_page, cost, mem_kind, addr, dtlb_page in rows:
-        if mem_kind != _MK_NONE:
-            events.append((gap, fetch_pc, itlb_page, mem_kind, addr, dtlb_page, cost))
-            gap = 0
-        elif fetch_pc >= 0:
-            events.append((gap, fetch_pc, itlb_page, _MK_NONE, -1, -1, 0))
-            gap = cost
-        else:
-            gap += cost
-    return _CompiledSegment(
-        events=events,
-        tail=gap,
-        length=len(rows),
-        pipeline=pipeline,
-        fpu=fpu,
     )
 
 
@@ -426,14 +365,25 @@ def _compile_lane_table(
     np = _np
     length = len(trace)
     looping = looping and length > 0
+    table = _issue_table(set(_issue_keys(trace)), core_cfg)
+    key_ids = {key: index for index, key in enumerate(table)}
+    ids = np.fromiter(
+        map(key_ids.__getitem__, _issue_keys(trace)), dtype=np.int64, count=length
+    )
+    entries = list(table.values())
+    costs = np.array([cost for cost, _ in entries], dtype=np.int64)[ids].tolist()
+    increments = np.array(
+        [counters for _, counters in entries], dtype=np.int64
+    ).reshape(-1, _STAT_FIELDS)
     prefix = np.zeros((length + 1, _STAT_FIELDS), dtype=np.int64)
-    rows, end_locality, _, _ = _compile_pass(trace, core_cfg, (-1, -1, -1), prefix)
+    np.cumsum(increments[ids], axis=0, out=prefix[1:])
+    rows, end_locality = _compile_pass(trace, core_cfg, (-1, -1, -1), costs)
     if looping:
         # Wrapped region: locality carried over the wrap.  The end-of-
         # pass state is a fixed point (it depends only on the trace's
         # last pc / last data access), so one wrapped region is exact
         # for every pass after the first.
-        rows += _compile_pass(trace, core_cfg, end_locality)[0]
+        rows += _compile_pass(trace, core_cfg, end_locality, costs)[0]
     else:
         # One inert padding row so finished lanes keep gathering
         # in-bounds (their cursor is pinned there once the trace ends).
@@ -1529,21 +1479,6 @@ class _BatchEngine:
             instructions=instructions,
             results=results,
         )
-
-
-def _accumulate_pipeline(total: PipelineStats, part: PipelineStats) -> None:
-    total.instructions += part.instructions
-    total.base_cycles += part.base_cycles
-    total.branch_bubbles += part.branch_bubbles
-    total.load_use_stalls += part.load_use_stalls
-    total.long_op_stalls += part.long_op_stalls
-
-
-def _accumulate_fpu(total: FpuStats, part: FpuStats) -> None:
-    total.ops += part.ops
-    total.div_ops += part.div_ops
-    total.sqrt_ops += part.sqrt_ops
-    total.total_cycles += part.total_cycles
 
 
 def _run_degenerate(

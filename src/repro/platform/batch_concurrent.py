@@ -74,8 +74,6 @@ from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .batch import (
-    _MK_LOAD,
-    _MK_STORE,
     BatchUnsupported,
     _cores_unsupported_reason,
     _lane_table,
@@ -85,7 +83,7 @@ from .batch import (
     _VecCore,
     _VecMemory,
 )
-from .core import RunResult
+from .core import _MK_LOAD, _MK_STORE, RunResult
 from .fpu import FpuStats
 from .pipeline import PipelineStats
 from .schedule import UNSCHEDULABLE

@@ -17,12 +17,18 @@ Randomization hooks (the paper's hardware modifications):
 Between measurement runs the harness calls :meth:`Cache.flush` and
 :meth:`Cache.reseed`, reproducing the paper's "flush caches ... and set a
 new seed for each experiment" protocol.
+
+Placement is a pure function of ``(line, seed)``, and a run touches only
+a few hundred distinct lines, so each cache memoizes ``line -> set``
+for the current seed.  :meth:`Cache.reseed` clears the memo, so a new
+seed never sees a set index computed under the old one; the placement
+policies themselves stay stateless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .placement import PlacementPolicy, make_placement
 from .replacement import RandomReplacement, ReplacementPolicy, make_replacement
@@ -142,6 +148,9 @@ class Cache:
         self.seed = 0
         self.stats = CacheStats()
         self._tags: List[List[Optional[int]]] = []
+        # line -> set index under the current seed (see the module
+        # docstring); cleared by reseed().
+        self._set_memo: Dict[int, int] = {}
         self.flush()
 
     # ------------------------------------------------------------------
@@ -161,6 +170,7 @@ class Cache:
         from recording it.
         """
         self.seed = int(seed)
+        self._set_memo = {}
         if isinstance(self.replacement, RandomReplacement):
             self.replacement.reseed(self.seed)
 
@@ -175,12 +185,19 @@ class Cache:
         """Map a byte address to its line address."""
         return byte_address >> self._line_shift
 
+    def _set_index(self, line: int) -> int:
+        """Set index of ``line`` under the current seed (memoized)."""
+        set_index = self._set_memo.get(line)
+        if set_index is None:
+            set_index = self.placement.set_index(line, self.seed)
+            self._set_memo[line] = set_index
+        return set_index
+
     def _lookup(self, set_index: int, line: int) -> int:
         """Return the way holding ``line`` in ``set_index`` or -1."""
         ways = self._tags[set_index]
-        for way, tag in enumerate(ways):
-            if tag == line:
-                return way
+        if line in ways:
+            return ways.index(line)
         return -1
 
     def _allocate(self, set_index: int, line: int) -> None:
@@ -199,7 +216,7 @@ class Cache:
     def read(self, byte_address: int) -> bool:
         """Look up a read; allocate on miss.  Returns True on hit."""
         line = byte_address >> self._line_shift
-        set_index = self.placement.set_index(line, self.seed)
+        set_index = self._set_index(line)
         way = self._lookup(set_index, line)
         if way >= 0:
             self.replacement.touch(set_index, way)
@@ -218,7 +235,7 @@ class Cache:
         the bus by the core model — the cache only answers hit/miss.
         """
         line = byte_address >> self._line_shift
-        set_index = self.placement.set_index(line, self.seed)
+        set_index = self._set_index(line)
         way = self._lookup(set_index, line)
         if way >= 0:
             self.replacement.touch(set_index, way)
@@ -232,7 +249,7 @@ class Cache:
     def contains(self, byte_address: int) -> bool:
         """Non-mutating residency probe (for tests and invariants)."""
         line = byte_address >> self._line_shift
-        set_index = self.placement.set_index(line, self.seed)
+        set_index = self._set_index(line)
         return self._lookup(set_index, line) >= 0
 
     def resident_lines(self) -> List[int]:

@@ -24,6 +24,7 @@ latencies on the GRFPU and are therefore jitterless in both modes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -136,6 +137,10 @@ class Fpu:
         self.stats.reset()
 
     def _variable_latency(self, lo: int, hi: int, operand_class: float) -> int:
+        if math.isnan(operand_class):
+            # Charge the worst case, as operand_class_of does for
+            # non-finite operands.
+            return hi
         clamped = min(max(operand_class, 0.0), 1.0)
         return lo + int(round(clamped * (hi - lo)))
 
@@ -194,8 +199,6 @@ def operand_class_of(dividend: float, divisor: float) -> float:
     bits terminate early (class near 0), irrational-looking quotients run
     the full iteration count (class near 1).
     """
-    import math
-
     if divisor == 0 or not math.isfinite(dividend) or not math.isfinite(divisor):
         return 1.0
     quotient = abs(dividend / divisor)

@@ -73,7 +73,7 @@ def run_min_time_interleave(
     changes, the heap is never stale, and the pop sequence is exactly
     the per-step minimum the historical O(active) scan selected — the
     replacement is bit-identical by construction (and regression-pinned
-    by tests/platform/test_concurrent_pin.py).
+    by ``PINNED_CONCURRENT`` in tests/platform/test_single_core_pin.py).
     """
     analysis = lanes_by_core[analysis_core]
     heap: List[Tuple[int, int]] = [

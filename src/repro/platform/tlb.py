@@ -130,11 +130,11 @@ class Tlb:
         a miss costs the configured walk penalty and installs the page.
         """
         page = byte_address >> self._page_shift
-        for way, entry in enumerate(self._entries):
-            if entry == page:
-                self.replacement.touch(0, way)
-                self.stats.hits += 1
-                return 0
+        entries = self._entries
+        if page in entries:
+            self.replacement.touch(0, entries.index(page))
+            self.stats.hits += 1
+            return 0
         self.stats.misses += 1
         self._install(page)
         return self.config.walk_penalty_cycles

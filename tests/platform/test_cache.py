@@ -196,3 +196,65 @@ class TestInvariants:
         cache = make_cache()
         cache.read(addr)
         assert cache.contains(addr)
+
+
+class TestSetIndexMemo:
+    """The per-seed ``line -> set`` memo must never outlive its seed."""
+
+    accesses = st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=4095)),
+        min_size=1,
+        max_size=120,
+    )
+
+    @pytest.mark.parametrize("placement", ["modulo", "random_modulo", "hash_random"])
+    @pytest.mark.parametrize("allocate_on_write", [False, True])
+    @given(warmup=accesses, accesses=accesses)
+    @settings(max_examples=25, deadline=None)
+    def test_reseed_matches_fresh_cache(
+        self, placement, allocate_on_write, warmup, accesses
+    ):
+        """After ``reseed(B)``, a cache that ran under seed A answers
+        every access as a fresh cache seeded B does."""
+        kwargs = dict(
+            placement=placement,
+            replacement="random",
+            write_through_no_allocate=not allocate_on_write,
+        )
+        reused = make_cache(**kwargs)
+        reused.reseed(11)
+        for is_write, addr in warmup:
+            (reused.write if is_write else reused.read)(addr)
+        reused.flush()
+        reused.reseed(29)
+        reused.reset_stats()
+        fresh = make_cache(**kwargs)
+        fresh.reseed(29)
+        fresh.reset_stats()
+        # Replaying the warm-up revisits every line memoized under seed A.
+        for is_write, addr in warmup + accesses:
+            if is_write:
+                assert reused.write(addr) == fresh.write(addr)
+            else:
+                assert reused.read(addr) == fresh.read(addr)
+        assert reused.stats == fresh.stats
+        assert sorted(reused.resident_lines()) == sorted(fresh.resident_lines())
+
+    @pytest.mark.parametrize("placement", ["modulo", "random_modulo", "hash_random"])
+    @given(warmup=accesses, probes=st.lists(st.integers(0, 4095), max_size=60))
+    @settings(max_examples=25, deadline=None)
+    def test_contains_agrees_with_read_after_reseed(self, placement, warmup, probes):
+        """Lines left resident under seed A are looked up under seed B's
+        placement by both ``contains`` and ``read``."""
+        line_shift = CacheConfig().line_shift
+        cache = make_cache(placement=placement, replacement="lru")
+        cache.reseed(3)
+        for _, addr in warmup:
+            cache.read(addr)
+        cache.reseed(4)
+        for addr in [a for _, a in warmup] + probes:
+            resident = cache.contains(addr)
+            line = addr >> line_shift
+            assert resident == (line in cache._tags[cache.placement.set_index(line, 4)])
+            assert cache.read(addr) == resident
+            assert cache.contains(addr)

@@ -39,6 +39,19 @@ class TestOperationMode:
         assert fpu.latency(FpOp.DIV, -5.0) == fpu.config.div_min_latency
         assert fpu.latency(FpOp.DIV, 7.0) == fpu.config.div_max_latency
 
+    @pytest.mark.parametrize(
+        "op, worst",
+        [(FpOp.DIV, "div_max_latency"), (FpOp.SQRT, "sqrt_max_latency")],
+    )
+    def test_nan_operand_class_is_worst_case(self, op, worst):
+        """A NaN class charges the worst case (as operand_class_of does
+        for non-finite operands) instead of failing mid-run."""
+        fpu = Fpu(FpuConfig(mode=FpuMode.OPERATION))
+        assert fpu.latency(op, float("nan")) == getattr(fpu.config, worst)
+        assert fpu.latency(op, float("inf")) == getattr(fpu.config, worst)
+        assert fpu.stats.ops == 2
+        assert fpu.stats.total_cycles == 2 * getattr(fpu.config, worst)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_analysis_upper_bounds_operation(self, oc):
