@@ -66,7 +66,7 @@ BACKEND_RUNS = int(os.environ.get("REPRO_BENCH_BACKEND_RUNS", "300"))
 MIN_FIG2_SPEEDUP = 5.0
 
 #: The acceptance floor on the co-scheduled contention campaign.
-MIN_CONTENTION_SPEEDUP = 5.0
+MIN_CONTENTION_SPEEDUP = 10.0
 
 #: The contention row runs 2x the TVCA rows: the concurrent engine's
 #: per-step dispatch amortizes over replications, so its speedup keeps

@@ -9,8 +9,8 @@ computation so it is paid once per *trace*: all ``R`` replications
 advance through the trace together, with numpy arrays holding the
 per-run divergent state —
 
-* cache tag stores ``(R, sets, ways)`` and TLB entry stores ``(R, 1,
-  entries)``,
+* cache tag stores ``(R·sets, ways)`` (one row per (run, set)) and
+  TLB entry stores ``(R, entries)``,
 * the per-run LFSR states of the platform PRNG (victim draws advance
   only the lanes that actually miss into a full set, so every run
   consumes exactly the draw sequence the scalar interpreter would),
@@ -23,31 +23,21 @@ static-cost gaps, so only instructions that touch per-run state (fetch
 probes on new lines, loads, stores) cost vector work.  The single-core
 engine drains the very compile the scalar ``Core.execute`` drains
 (:func:`~repro.platform.core._compile_segment`, memoized here per
-trace); the co-scheduled engine's per-instruction lane tables take
-their costs from the same per-key oracle
-(:func:`~repro.platform.core._issue_table`), so the cost model has one
-home.
+trace); so does the co-scheduled engine's private pass, so the cost
+model has one home.
 
-One component set, two forms
-----------------------------
+One component set
+-----------------
 
 The hardware models in this module (caches, TLBs, replacement
 policies, bus, DRAM controller, store buffer) serve both vectorized
-engines.  Each lane is one replication here and one (scheduled core,
-replication) *superlane* in the co-scheduled engine
-(:mod:`repro.platform.batch_concurrent`).  The components offer two
-access forms over the same state:
-
-* the *broadcast* form takes one address for every lane — single-core
-  lanes all sit at the same trace index, so an event is one scalar
-  address (and placement is memoized per line);
-* the *index* form takes arrays of unique lane indices with per-lane
-  addresses — co-scheduled lanes diverge, and each event touches only
-  the lanes whose core executes it.
-
-Both forms share the tag stores, the fill path, the replacement state
-and the counters that ``stats_for`` reads, so a fast path or a fix
-lands in both engines at once.
+engines.  The private components — caches and TLBs — have one access
+form, *broadcast*: one address for every lane, since all lanes of a
+core sit at the same compiled event (placement is memoized per line).
+The co-scheduled engine (:mod:`repro.platform.batch_concurrent`) runs
+each core's private components through its events this way too, and
+only the shared bus, DRAM controller and store buffer, whose state
+depends on the interleave, take arrays of unique lane or run indices.
 
 Bit-identity contract
 ---------------------
@@ -86,23 +76,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from .bus import BusConfig, BusStats
 from .cache import CacheConfig, CacheStats
 from .core import (
-    _MEMORY_KINDS,
+    _COLD,
     _MK_LOAD,
     _MK_NONE,
-    _STAT_FIELDS,
     CoreConfig,
     RunResult,
     _accumulate_fpu,
     _accumulate_pipeline,
     _compile_segment,
     _CompiledSegment,
-    _issue_keys,
-    _issue_table,
+    _Locality,
 )
 from .fpu import FpuStats
 from .memory import MemoryConfig, MemoryStats
 from .pipeline import PipelineStats
-from .prng import CombinedLfsrPrng, Lfsr, SplitMix64, derive_seed
+from .prng import CombinedLfsrPrng, Lfsr
 from .soc import Platform, PlatformConfig
 from .tlb import TlbConfig, TlbStats
 from .trace import Trace
@@ -206,11 +194,6 @@ def batch_unsupported_reason(
 # Trace compilation (trace-pure preprocessing, shared by all runs)
 # ----------------------------------------------------------------------
 
-#: Per-instruction row of :func:`_compile_pass`: ``(fetch_pc,
-#: itlb_page, cost, mem_kind, mem_addr, dtlb_page)``.
-_Row = Tuple[int, int, int, int, int, int]
-_Locality = Tuple[int, int, int]
-
 _T = TypeVar("_T")
 
 
@@ -246,67 +229,14 @@ def _memoized(
     return value
 
 
-def _compile_pass(
-    trace: Trace,
-    core_cfg: CoreConfig,
-    locality: _Locality,
-    costs: Sequence[int],
-) -> Tuple[List[_Row], _Locality]:
-    """One pass over ``trace``: one :data:`_Row` per instruction.
-
-    ``locality`` is the ``(line, itlb page, dtlb page)`` state the pass
-    starts from (``(-1, -1, -1)`` for a fresh
-    :class:`~repro.platform.core.CoreStepper`).  Row ``i`` holds
-    ``fetch_pc`` — the fetched byte address when the instruction probes
-    the IL1, else -1 — the ITLB/DTLB pages probed on page changes (-1
-    otherwise), the instruction's static cost ``costs[i]`` (from
-    :func:`~repro.platform.core._issue_table`), its memory kind and the
-    LOAD/STORE byte address.  Returns the rows and the end locality.
-    """
-    iline_shift = core_cfg.icache.line_shift
-    ipage_shift = core_cfg.itlb.page_shift
-    dpage_shift = core_cfg.dtlb.page_shift
-    memory_kinds = _MEMORY_KINDS
-
-    kinds = trace.kinds
-    pcs = trace.pcs
-    addrs = trace.addrs
-
-    last_iline, last_ipage, last_dpage = locality
-    rows: List[_Row] = []
-    for i in range(len(kinds)):
-        pc = pcs[i]
-        fetch_pc = -1
-        itlb_page = -1
-        iline = pc >> iline_shift
-        if iline != last_iline:
-            last_iline = iline
-            fetch_pc = pc
-            ipage = pc >> ipage_shift
-            if ipage != last_ipage:
-                last_ipage = ipage
-                itlb_page = ipage
-        mem_kind = memory_kinds.get(kinds[i], _MK_NONE)
-        if mem_kind == _MK_NONE:
-            rows.append((fetch_pc, itlb_page, costs[i], _MK_NONE, -1, -1))
-            continue
-        addr = addrs[i]
-        dpage = addr >> dpage_shift
-        if dpage != last_dpage:
-            last_dpage = dpage
-            dtlb_page = dpage
-        else:
-            dtlb_page = -1
-        rows.append((fetch_pc, itlb_page, costs[i], mem_kind, addr, dtlb_page))
-    return rows, (last_iline, last_ipage, last_dpage)
-
-
 #: Memoized compiled segments (see :func:`_memoized`).
 _SEGMENT_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
 _SEGMENT_CACHE_SIZE = 256
 
 
-def _compiled_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
+def _compiled_segment(
+    trace: Trace, core_cfg: CoreConfig, locality: _Locality = _COLD
+) -> _CompiledSegment:
     """Memoizing wrapper around :func:`~repro.platform.core._compile_segment`
     (the compile :meth:`~repro.platform.core.Core.execute` drains)."""
     return _memoized(
@@ -314,86 +244,8 @@ def _compiled_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
         _SEGMENT_CACHE_SIZE,
         trace,
         core_cfg,
-        lambda: _compile_segment(trace, core_cfg),
-    )
-
-
-@dataclass
-class _LaneTable:
-    """One trace compiled to per-index facts for gather-based execution.
-
-    ``rows[j]`` is row ``j`` of :func:`_compile_pass`.  Looping traces
-    carry two regions — ``[0, length)`` compiled cold, ``[length,
-    2*length)`` with the locality state carried over the wrap — plus
-    the wrap target; non-looping traces end in one inert padding row so
-    finished lanes gather in-bounds.  ``prefix[n]`` holds the nine
-    pipeline/FPU counters after ``n`` instructions of one pass
-    (``totals`` after a full pass); both are pass-independent because
-    the pipeline and FPU cost oracles are stateless given the trace
-    fields.
-    """
-
-    rows: Any
-    prefix: Any
-    totals: Any
-    length: int
-    looping: bool
-
-
-#: Memoized lane tables (see :func:`_memoized`).
-_LANE_TABLE_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
-_LANE_TABLE_CACHE_SIZE = 128
-
-
-def _lane_table(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _LaneTable:
-    """Memoizing wrapper around :func:`_compile_lane_table`."""
-    return _memoized(
-        _LANE_TABLE_CACHE,
-        _LANE_TABLE_CACHE_SIZE,
-        trace,
-        core_cfg,
-        lambda: _compile_lane_table(trace, core_cfg, looping),
-        looping,
-    )
-
-
-def _compile_lane_table(
-    trace: Trace, core_cfg: CoreConfig, looping: bool
-) -> _LaneTable:
-    """Stack the per-instruction rows of ``trace`` into a gather table
-    (see :class:`_LaneTable`)."""
-    np = _np
-    length = len(trace)
-    looping = looping and length > 0
-    table = _issue_table(set(_issue_keys(trace)), core_cfg)
-    key_ids = {key: index for index, key in enumerate(table)}
-    ids = np.fromiter(
-        map(key_ids.__getitem__, _issue_keys(trace)), dtype=np.int64, count=length
-    )
-    entries = list(table.values())
-    costs = np.array([cost for cost, _ in entries], dtype=np.int64)[ids].tolist()
-    increments = np.array(
-        [counters for _, counters in entries], dtype=np.int64
-    ).reshape(-1, _STAT_FIELDS)
-    prefix = np.zeros((length + 1, _STAT_FIELDS), dtype=np.int64)
-    np.cumsum(increments[ids], axis=0, out=prefix[1:])
-    rows, end_locality = _compile_pass(trace, core_cfg, (-1, -1, -1), costs)
-    if looping:
-        # Wrapped region: locality carried over the wrap.  The end-of-
-        # pass state is a fixed point (it depends only on the trace's
-        # last pc / last data access), so one wrapped region is exact
-        # for every pass after the first.
-        rows += _compile_pass(trace, core_cfg, end_locality, costs)[0]
-    else:
-        # One inert padding row so finished lanes keep gathering
-        # in-bounds (their cursor is pinned there once the trace ends).
-        rows.append((-1, -1, 0, _MK_NONE, -1, -1))
-    return _LaneTable(
-        rows=np.array(rows, dtype=np.int64),
-        prefix=prefix,
-        totals=prefix[length].copy(),
-        length=length,
-        looping=looping,
+        lambda: _compile_segment(trace, core_cfg, locality),
+        locality,
     )
 
 
@@ -510,15 +362,14 @@ class _VecPrng:
     gather/scatter form.
     """
 
-    def __init__(self, seeds: Sequence[int]) -> None:
+    def __init__(self, seeds: Any) -> None:
         np = _np
-        degrees = CombinedLfsrPrng.DEGREES
-        columns: List[List[int]] = [[] for _ in degrees]
-        for seed in seeds:
-            expander = SplitMix64(seed)
-            for slot, degree in enumerate(degrees):
-                state = expander.next_u64() & ((1 << degree) - 1)
-                columns[slot].append(state if state else 1)
+        seeds = _seed_array(seeds)
+        columns = []
+        for slot, degree in enumerate(CombinedLfsrPrng.DEGREES):
+            # Draw ``slot + 1`` of a SplitMix64 expander seeded per lane.
+            state = _mix(slot + 1, seeds) & np.uint64((1 << degree) - 1)
+            columns.append(np.where(state == 0, 1, state))
         self._states = np.array(columns, dtype=np.uint32)
 
     def _draw(self, states: Any, nbits: int) -> Tuple[Any, Any]:
@@ -598,10 +449,10 @@ class _VecFastPrng:
 
     _BUFFER = 64
 
-    def __init__(self, seeds: Sequence[int]) -> None:
+    def __init__(self, seeds: Any) -> None:
         np = _np
         runs = len(seeds)
-        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
+        self._seeds = _seed_array(seeds)
         self._rows = np.arange(runs)
         self._count = np.zeros(runs, dtype=np.uint64)
         self._pos = np.zeros(runs, dtype=np.int64)
@@ -676,7 +527,7 @@ class _VecFastPrng:
         return value
 
 
-def _make_vec_prng(prng_mode: str, seeds: Sequence[int]) -> Any:
+def _make_vec_prng(prng_mode: str, seeds: Any) -> Any:
     """Vectorized platform generator lanes for ``prng_mode``."""
     if prng_mode == "fast-parity":
         return _VecFastPrng(seeds)
@@ -697,12 +548,12 @@ class _VecRandomRepl:
         self._prng = prng
         self._ways = num_ways
 
-    def victim_idx(self, sets: Any, lanes: Any) -> Any:
+    def victim_idx(self, rows: Any, lanes: Any) -> Any:
         """Victim ways for the indexed full-set lanes only — consumes one
         draw per listed lane, exactly the scalar consumption."""
         return self._prng.randint_idx(self._ways, lanes)
 
-    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
+    def fill_idx(self, rows: Any, way: Any) -> None:
         return None
 
     touch_idx = fill_idx
@@ -720,87 +571,90 @@ class _VecLruRepl:
 
     needs_touch = True
 
-    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
+    def __init__(self, rows: int, num_ways: int) -> None:
         np = _np
-        self._ts = np.tile(
-            np.arange(num_ways, dtype=np.int64), (lanes, num_sets, 1)
-        )
+        self._ts = np.tile(np.arange(num_ways, dtype=np.int64), (rows, 1))
         self._counter = num_ways
 
-    def victim_idx(self, sets: Any, lanes: Any) -> Any:
-        return self._ts[lanes, sets].argmin(axis=1)
+    def victim_idx(self, rows: Any, lanes: Any) -> Any:
+        return self._ts[rows].argmin(axis=1)
 
-    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
-        self._ts[lanes, sets, way] = self._counter
+    def fill_idx(self, rows: Any, way: Any) -> None:
+        self._ts[rows, way] = self._counter
         self._counter += 1
 
     touch_idx = fill_idx
 
 
 class _VecRoundRobinRepl:
-    """FIFO-like rotation: per-lane per-set victim pointer."""
+    """FIFO-like rotation: per-(lane, set) victim pointer."""
 
     needs_touch = False
 
-    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
+    def __init__(self, rows: int, num_ways: int) -> None:
         np = _np
-        self._ptr = np.zeros((lanes, num_sets), dtype=np.int64)
+        self._ptr = np.zeros(rows, dtype=np.int64)
         self._ways = num_ways
 
-    def victim_idx(self, sets: Any, lanes: Any) -> Any:
-        way = self._ptr[lanes, sets]
-        self._ptr[lanes, sets] = (way + 1) % self._ways
+    def victim_idx(self, rows: Any, lanes: Any) -> Any:
+        way = self._ptr[rows]
+        self._ptr[rows] = (way + 1) % self._ways
         return way
 
-    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
+    def fill_idx(self, rows: Any, way: Any) -> None:
         return None
 
     touch_idx = fill_idx
 
 
 def _make_vec_replacement(
-    name: str,
-    lanes: int,
-    num_sets: int,
-    num_ways: int,
-    prng: Optional[Any],
+    name: str, rows: int, num_ways: int, prng: Optional[Any]
 ) -> Any:
     if name == "random":
         return _VecRandomRepl(prng, num_ways)
     if name == "lru":
-        return _VecLruRepl(lanes, num_sets, num_ways)
+        return _VecLruRepl(rows, num_ways)
     if name == "round_robin":
-        return _VecRoundRobinRepl(lanes, num_sets, num_ways)
+        return _VecRoundRobinRepl(rows, num_ways)
     raise BatchUnsupported(f"replacement {name!r} is not vectorized")
 
 
-def _mix(values: Any, seeds_u64: Any) -> Any:
-    """Vectorized ``placement._mix`` of one shared int or of one value
-    per lane against the per-lane seeds."""
+def _mix(value: int, seeds_u64: Any) -> Any:
+    """Vectorized ``placement._mix`` of one shared int against the
+    per-lane seeds (uint64 arithmetic wraps mod 2**64, as required).
+    ``_mix(k, seeds)`` is also draw ``k`` of a SplitMix64 seeded with
+    ``seeds``."""
     np = _np
-    if isinstance(values, int):
-        z = np.uint64((values * _GOLDEN) & _M64) + seeds_u64
-    else:
-        # uint64 arithmetic wraps mod 2**64, as required.
-        z = values.astype(np.uint64) * np.uint64(_GOLDEN) + seeds_u64
+    z = np.uint64((value * _GOLDEN) & _M64) + seeds_u64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
-def _select(sets: Any, sel: Any) -> Any:
-    """``sets[sel]`` for per-lane set indices; a shared int passes through."""
-    return sets if isinstance(sets, int) else sets[sel]
+#: Unsigned views that turn a row of 1/2/4/8 match flags into one word.
+_WORD_VIEWS = {2: "uint16", 4: "uint32", 8: "uint64"}
+
+
+def _any_row(matches: Any) -> Any:
+    """``matches.any(axis=1)`` for a C-contiguous bool matrix; rows of 2,
+    4 or 8 flags are tested as one word each, which is much faster."""
+    ways = matches.shape[1]
+    if ways == 1:
+        return matches[:, 0]
+    view = _WORD_VIEWS.get(ways)
+    if view is None:
+        return matches.any(axis=1)
+    return matches.view(view).ravel() != 0
 
 
 class _VecTagStore:
     """Per-lane set-associative tag store with its replacement state.
 
-    The common core of :class:`_VecCache` and :class:`_VecTlb`.  Ways
-    fill lowest-first, so the first free way of a set is always its
-    ``valid`` count — the same invariant the scalar ``Cache._allocate``
-    scan relies on.  Set indices are either one int shared by all
-    addressed lanes or one per addressed lane.
+    The common core of :class:`_VecCache` and :class:`_VecTlb`.  State is
+    kept per *row* — one (lane, set) pair, row ``lane * sets + set`` —
+    so every access is a one-index gather.  Ways fill lowest-first, so
+    the first free way of a set is always its ``valid`` count — the same
+    invariant the scalar ``Cache._allocate`` scan relies on.
     """
 
     def __init__(
@@ -811,72 +665,61 @@ class _VecTagStore:
         seeds: Sequence[int],
         lanes: int,
         prng_mode: str,
+        tag_type: Any,
     ) -> None:
         np = _np
         self.ways = ways
-        self._rows = np.arange(lanes)
-        self.tags = np.full((lanes, num_sets, ways), -1, dtype=np.int64)
-        self.valid = np.zeros((lanes, num_sets), dtype=np.int64)
+        self.tags = np.full((lanes * num_sets, ways), -1, dtype=tag_type)
+        self.valid = np.zeros(lanes * num_sets, dtype=np.int64)
         prng = _make_vec_prng(prng_mode, seeds) if replacement == "random" else None
-        self.repl = _make_vec_replacement(replacement, lanes, num_sets, ways, prng)
+        self.repl = _make_vec_replacement(replacement, lanes * num_sets, ways, prng)
         self._needs_touch = self.repl.needs_touch
         self.evictions = np.zeros(lanes, dtype=np.int64)
+        self.evicted: Any = None
 
-    def _probe(self, set_index: Any, tag: int) -> Any:
-        """Broadcast form: look ``tag`` up on every lane; returns the
-        per-lane hit mask (replacement touched on the hit lanes)."""
+    def _probe(self, rows: Any, tag: int) -> Any:
+        """Look ``tag`` up on every lane, in its row ``rows[lane]`` (None:
+        row ``lane``, the one-set case); returns the per-lane hit mask
+        (replacement touched on the hit lanes)."""
         np = _np
-        if isinstance(set_index, int):
-            ways = self.tags[:, set_index]
-        else:
-            ways = self.tags[self._rows, set_index]
+        ways = self.tags if rows is None else self.tags.take(rows, axis=0)
         matches = ways == tag
-        hit = matches.any(axis=1)
+        hit = _any_row(matches)
         if self._needs_touch:
             lanes = np.flatnonzero(hit)
             self.repl.touch_idx(
-                _select(set_index, lanes), matches[lanes].argmax(axis=1), lanes
+                lanes if rows is None else rows[lanes],
+                matches[lanes].argmax(axis=1),
             )
         return hit
 
-    def _probe_idx(self, lanes: Any, sets: Any, tags: Any) -> Any:
-        """Index form: look per-lane ``tags`` up on the indexed lanes;
-        returns the per-event hit mask."""
-        matches = self.tags[lanes, sets] == tags[:, None]
-        hit = matches.any(axis=1)
-        if self._needs_touch and hit.any():
-            self.repl.touch_idx(
-                _select(sets, hit), matches[hit].argmax(axis=1), lanes[hit]
-            )
-        return hit
-
-    def _allocate_idx(self, sets: Any, tags: Any, lanes: Any) -> None:
-        """Fill ``tags`` on the indexed miss lanes (gather/scatter, no
-        store-width temporaries).  Victim draws happen on the full lanes
-        only, one per lane — the scalar consumption."""
-        way = self.valid[lanes, sets]
+    def _allocate_idx(self, rows: Any, tag: int, lanes: Any) -> None:
+        """Fill ``tag`` into the miss lanes ``lanes``, in their rows
+        ``rows``.  Victim draws happen on the full lanes only, one per
+        lane — the scalar consumption.  ``evicted`` keeps the lanes that
+        evicted (valid until the next allocation)."""
+        way = self.valid[rows]
         full_sel = way >= self.ways
         full_lanes = lanes[full_sel]
+        self.evicted = full_lanes
         if full_lanes.size:
-            way[full_sel] = self.repl.victim_idx(_select(sets, full_sel), full_lanes)
+            way[full_sel] = self.repl.victim_idx(rows[full_sel], full_lanes)
             self.evictions[full_lanes] += 1
-            free_sel = ~full_sel
-            free_lanes = lanes[free_sel]
-            if free_lanes.size:
-                self.valid[free_lanes, _select(sets, free_sel)] += 1
+            free_rows = rows[~full_sel]
+            if free_rows.size:
+                self.valid[free_rows] += 1
         else:
-            self.valid[lanes, sets] += 1
-        self.tags[lanes, sets, way] = tags
-        self.repl.fill_idx(sets, way, lanes)
+            self.valid[rows] += 1
+        self.tags[rows, way] = tag
+        self.repl.fill_idx(rows, way)
 
 
 class _VecCache(_VecTagStore):
     """Set-associative cache with per-lane tag stores.
 
     Per-lane placement seeds rotate set indices lane-wise (random
-    modulo / hash placement).  Access counts: a broadcast access
-    reaches every lane, so it counts in one shared int; an index-form
-    access counts on its lanes.  :meth:`stats_for` adds both.
+    modulo / hash placement).  Every access reaches every lane, so
+    access counts are shared ints; hits and evictions are per lane.
     """
 
     def __init__(
@@ -885,106 +728,80 @@ class _VecCache(_VecTagStore):
         seeds: Sequence[int],
         lanes: int,
         prng_mode: str = "exact",
+        tag_type: Any = "int64",
     ) -> None:
         np = _np
         super().__init__(
-            cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes, prng_mode
+            cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes, prng_mode,
+            tag_type,
         )
         self.num_sets = cfg.num_sets
         self.line_shift = cfg.line_shift
         self._placement = cfg.placement
-        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
-        self._set_memo: Dict[int, Any] = {}
+        self._seeds = _seed_array(seeds)
+        self._row_base = np.arange(lanes, dtype=np.int64) * cfg.num_sets
+        self._row_type = np.int16 if lanes * cfg.num_sets <= 1 << 15 else np.int32
+        self._row_memo: Dict[int, Any] = {}
         self._allocate_on_write = not cfg.write_through_no_allocate
         # Misses are derived at stats time (accesses - hits): the hot
         # loop keeps one vector accumulate per access, not two.
         self.read_hits = np.zeros(lanes, dtype=np.int64)
         self.write_hits = np.zeros(lanes, dtype=np.int64)
-        self.reads = np.zeros(lanes, dtype=np.int64)
-        self.writes = np.zeros(lanes, dtype=np.int64)
-        self._reads = 0
-        self._writes = 0
+        self.reads = 0
+        self.writes = 0
 
     # -- placement -----------------------------------------------------
-    def _place(self, lines: Any, lanes: Any) -> Any:
-        """Set index of ``lines`` (one int, or one per lane) on ``lanes``
-        (an index array, or ``slice(None)`` for every lane)."""
-        np = _np
-        sets = self.num_sets
-        if self._placement == "modulo":
-            return lines % sets
-        seeds = self._seeds[lanes]
-        if self._placement == "random_modulo":
-            rotation = (_mix(lines // sets, seeds) % np.uint64(sets)).astype(np.int64)
-            return (lines % sets + rotation) % sets
-        return (_mix(lines, seeds) % np.uint64(sets)).astype(np.int64)
-
-    def _set_index(self, line: int) -> Any:
-        """Broadcast set index of ``line`` — an int (modulo) or an
-        array over every lane.
+    def _rows_of(self, line: int) -> Any:
+        """Per-lane tag-store rows of ``line``.
 
         Memoized per line: placement is a pure function of (line, lane
         seed) for the whole engine lifetime, and traces revisit a small
-        working set of lines many times.
+        working set of lines many times (narrow rows shrink the memo).
         """
-        cached = self._set_memo.get(line)
+        np = _np
+        cached = self._row_memo.get(line)
         if cached is None:
-            cached = self._place(line, slice(None))
-            self._set_memo[line] = cached
+            sets = self.num_sets
+            if self._placement == "modulo":
+                set_index: Any = line % sets
+            elif self._placement == "random_modulo":
+                rotation = _mix(line // sets, self._seeds) % np.uint64(sets)
+                set_index = (line % sets + rotation.astype(np.int64)) % sets
+            else:
+                set_index = (_mix(line, self._seeds) % np.uint64(sets)).astype(
+                    np.int64
+                )
+            cached = (self._row_base + set_index).astype(self._row_type)
+            self._row_memo[line] = cached
         return cached
 
-    # -- broadcast form --------------------------------------------------
     def read(self, byte_address: int) -> Any:
         """Vectorized ``Cache.read`` on every lane; returns the miss-lane
         indices."""
         np = _np
         line = byte_address >> self.line_shift
-        set_index = self._set_index(line)
-        hit = self._probe(set_index, line)
+        rows = self._rows_of(line)
+        hit = self._probe(rows, line)
         self.read_hits += hit
-        self._reads += 1
+        self.reads += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            self._allocate_idx(_select(set_index, lanes), line, lanes)
+            self._allocate_idx(rows[lanes], line, lanes)
         return lanes
 
-    def write(self, byte_address: int) -> None:
-        """Vectorized ``Cache.write`` on every lane."""
+    def write(self, byte_address: int) -> Any:
+        """Vectorized ``Cache.write`` on every lane; returns the
+        miss-lane indices."""
         np = _np
         line = byte_address >> self.line_shift
-        set_index = self._set_index(line)
-        hit = self._probe(set_index, line)
+        rows = self._rows_of(line)
+        hit = self._probe(rows, line)
         self.write_hits += hit
-        self._writes += 1
-        if self._allocate_on_write:
-            lanes = np.flatnonzero(~hit)
-            if lanes.size:
-                self._allocate_idx(_select(set_index, lanes), line, lanes)
-
-    # -- index form ------------------------------------------------------
-    def _access_idx(self, lanes: Any, addrs: Any, allocate: bool) -> Any:
-        lines = addrs >> self.line_shift
-        sets = self._place(lines, lanes)
-        hit = self._probe_idx(lanes, sets, lines)
-        if allocate and not hit.all():
-            miss = ~hit
-            self._allocate_idx(sets[miss], lines[miss], lanes[miss])
-        return hit
-
-    def read_idx(self, lanes: Any, addrs: Any) -> Any:
-        """Vectorized ``Cache.read`` of per-lane ``addrs`` on the indexed
-        lanes; returns the per-event hit mask."""
-        hit = self._access_idx(lanes, addrs, True)
-        self.read_hits[lanes] += hit
-        self.reads[lanes] += 1
-        return hit
-
-    def write_idx(self, lanes: Any, addrs: Any) -> None:
-        """Vectorized ``Cache.write`` of per-lane ``addrs`` on the
-        indexed lanes."""
-        hit = self._access_idx(lanes, addrs, self._allocate_on_write)
-        self.write_hits[lanes] += hit
-        self.writes[lanes] += 1
+        self.writes += 1
+        lanes = np.flatnonzero(~hit)
+        if self._allocate_on_write and lanes.size:
+            self._allocate_idx(rows[lanes], line, lanes)
+        return lanes
 
     def stats_for(self, lane: int) -> CacheStats:
         """Per-lane counters as a scalar-shaped :class:`CacheStats`."""
@@ -992,9 +809,9 @@ class _VecCache(_VecTagStore):
         write_hits = int(self.write_hits[lane])
         return CacheStats(
             read_hits=read_hits,
-            read_misses=self._reads + int(self.reads[lane]) - read_hits,
+            read_misses=self.reads - read_hits,
             write_hits=write_hits,
-            write_misses=self._writes + int(self.writes[lane]) - write_hits,
+            write_misses=self.writes - write_hits,
             evictions=int(self.evictions[lane]),
             flushes=0,
         )
@@ -1003,8 +820,8 @@ class _VecCache(_VecTagStore):
 class _VecTlb(_VecTagStore):
     """Fully-associative TLB: a one-set tag store of virtual pages.
 
-    Both forms add the walk penalty to ``now`` in place on the missing
-    lanes; access counts follow the :class:`_VecCache` split.
+    A lookup adds the walk penalty to ``now`` in place on the missing
+    lanes; lookups count in a shared int, as :class:`_VecCache` accesses.
     """
 
     def __init__(
@@ -1013,61 +830,50 @@ class _VecTlb(_VecTagStore):
         seeds: Sequence[int],
         lanes: int,
         prng_mode: str = "exact",
+        tag_type: Any = "int64",
     ) -> None:
         np = _np
-        super().__init__(1, cfg.entries, cfg.replacement, seeds, lanes, prng_mode)
-        self._penalty = cfg.walk_penalty_cycles
+        super().__init__(
+            1, cfg.entries, cfg.replacement, seeds, lanes, prng_mode, tag_type
+        )
+        self.penalty = cfg.walk_penalty_cycles
         self.hits = np.zeros(lanes, dtype=np.int64)
-        self.lookups = np.zeros(lanes, dtype=np.int64)
-        self._lookups = 0
+        self.lookups = 0
 
-    def lookup(self, page: int, now: Any) -> None:
-        """Vectorized ``Tlb.lookup`` of ``page`` on every lane."""
+    def lookup(self, page: int, now: Any) -> Any:
+        """Vectorized ``Tlb.lookup`` of ``page`` on every lane; returns
+        the miss-lane indices."""
         np = _np
-        hit = self._probe(0, page)
+        hit = self._probe(None, page)
         self.hits += hit
-        self._lookups += 1
+        self.lookups += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            self._allocate_idx(0, page, lanes)
-            now[lanes] += self._penalty
-
-    def lookup_idx(self, lanes: Any, pages: Any, now: Any) -> None:
-        """Vectorized ``Tlb.lookup`` of per-lane ``pages`` on the indexed
-        lanes."""
-        hit = self._probe_idx(lanes, 0, pages)
-        self.hits[lanes] += hit
-        self.lookups[lanes] += 1
-        if not hit.all():
-            miss = ~hit
-            miss_lanes = lanes[miss]
-            self._allocate_idx(0, pages[miss], miss_lanes)
-            now[miss_lanes] += self._penalty
+            self._allocate_idx(lanes, page, lanes)
+            now[lanes] += self.penalty
+        return lanes
 
     def stats_for(self, lane: int) -> TlbStats:
         """Per-lane counters as a scalar-shaped :class:`TlbStats`."""
         hits = int(self.hits[lane])
-        return TlbStats(
-            hits=hits, misses=self._lookups + int(self.lookups[lane]) - hits
-        )
+        return TlbStats(hits=hits, misses=self.lookups - hits)
 
 
 class _VecBus:
     """Shared round-robin bus with per-run arbitration state.
 
     Mirrors :class:`~repro.platform.bus.Bus` exactly: one busy horizon
-    and round-robin grant pointer per run, aggregate plus per-master
-    contention/transaction splits (kept per scheduled core on the
-    (cores, runs) grid; :meth:`stats_for` reconstructs ``BusStats``'s
-    dicts with keys exactly for masters that issued at least one
-    transaction, as the scalar dict-growing updates do).  Issuers are
-    addressed by *row* — their position in ``core_ids`` — and the grant
-    delay is tabulated per (row, grant pointer), so arbitration is one
-    gather.  With one scheduled core the per-master split *is* the
-    aggregate, so it is read from the aggregate counters.
+    and round-robin grant pointer per run, and per-master transaction
+    and contention counters kept flat, core-major, on the ``row * runs
+    + run`` grid (:meth:`stats_for` sums them per run and rebuilds
+    ``BusStats``'s dicts with keys exactly for masters that issued at
+    least one transaction, as the scalar dict-growing updates do).
+    Issuers are addressed by *row* — their position in ``core_ids`` —
+    and the grant delay is tabulated per (row, grant pointer), so
+    arbitration is one gather.
 
-    Within one global step the scheduler selects at most one core per
-    run, so an event's run indices are unique and the scatters
+    Within one merge step the scheduler selects at most one core per
+    run, so a request's run indices are unique and the scatters
     race-free.
     """
 
@@ -1075,23 +881,16 @@ class _VecBus:
         np = _np
         self.core_ids = list(core_ids)
         masters = cfg.num_masters
+        self._runs = runs
+        self._run_ids = np.arange(runs)
         self.busy_until = np.zeros(runs, dtype=np.int64)
         self.pointer = np.zeros(runs, dtype=np.int64)
         # Transactions are counted per kind: the transfer-cycle total
         # follows from the two counts at stats time.
-        self.line_transactions = np.zeros(runs, dtype=np.int64)
-        self.word_transactions = np.zeros(runs, dtype=np.int64)
-        self.contention = np.zeros(runs, dtype=np.int64)
-        self._split = len(self.core_ids) > 1
-        if self._split:
-            self.transactions_by_core = np.zeros(
-                (len(self.core_ids), runs), dtype=np.int64
-            )
-            self.contention_by_core = np.zeros(
-                (len(self.core_ids), runs), dtype=np.int64
-            )
-        else:
-            self.contention_by_core = self.contention[None, :]
+        cells = len(self.core_ids) * runs
+        self.lines = np.zeros(cells, dtype=np.int64)
+        self.words = np.zeros(cells, dtype=np.int64)
+        self.waits = np.zeros(cells, dtype=np.int64)
         arb = cfg.arbitration_cycles
         delay = np.zeros((len(self.core_ids), masters), dtype=np.int64)
         for row, core_id in enumerate(self.core_ids):
@@ -1108,49 +907,67 @@ class _VecBus:
         self._line_cost = cfg.line_transfer_cycles + arb
         self._word_cost = cfg.word_transfer_cycles + arb
 
-    def request_idx(self, rows: Any, run_sel: Any, now: Any, is_line: bool) -> Any:
+    def request_idx(self, rows: Any, run_sel: Any, now: Any, is_line: Any) -> Any:
         """Vectorized ``Bus.request``: one transaction per indexed run.
 
         ``rows`` holds the issuing cores' row indices (one int when a
         single core issues), ``run_sel`` the unique run indices
-        (``slice(None)`` for every run) and ``now`` the issuers' local
-        times.  Returns the wait+transfer cost.
+        (``slice(None)`` for every run), ``now`` the issuers' local
+        times and ``is_line`` the transaction kind (one bool, or one per
+        run).  Returns the wait+transfer cost.
         """
         np = _np
         wait = self.busy_until[run_sel] - now
         np.maximum(wait, 0, out=wait)
         wait += self._delay[rows, self.pointer[run_sel]]
-        if is_line:
-            total = wait + self._line_cost
-            self.line_transactions[run_sel] += 1
+        # Flat counter cells: ``[rows, run_sel]`` on a 2-D grid would be
+        # an (R, R) outer update for an index-array row and a slice.
+        runs = self._runs
+        if not isinstance(run_sel, slice):
+            cells = rows * runs + run_sel
+        elif isinstance(rows, int) and run_sel == slice(None):
+            cells = slice(rows * runs, (rows + 1) * runs)
         else:
+            cells = rows * runs + self._run_ids[run_sel]
+        if is_line is True:
+            total = wait + self._line_cost
+            self.lines[cells] += 1
+        elif is_line is False:
             total = wait + self._word_cost
-            self.word_transactions[run_sel] += 1
+            self.words[cells] += 1
+        else:
+            total = wait + np.where(is_line, self._line_cost, self._word_cost)
+            self.lines[cells] += is_line
+            self.words[cells] += ~is_line
         self.busy_until[run_sel] = now + total
         self.pointer[run_sel] = self._next_pointer[rows]
-        self.contention[run_sel] += wait
-        if self._split:
-            self.transactions_by_core[rows, run_sel] += 1
-            self.contention_by_core[rows, run_sel] += wait
+        self.waits[cells] += wait
         return total
+
+    def kinds_for(self, run: int) -> Tuple[int, int]:
+        """(line, word) transactions of one run — the DRAM reads and
+        writes that followed them."""
+        runs = self._runs
+        return (
+            int(self.lines[run::runs].sum()),
+            int(self.words[run::runs].sum()),
+        )
 
     def stats_for(self, run: int) -> BusStats:
         """Per-run counters as a scalar-shaped :class:`BusStats`."""
-        lines = int(self.line_transactions[run])
-        words = int(self.word_transactions[run])
+        runs = self._runs
         transactions: Dict[int, int] = {}
         contention: Dict[int, int] = {}
         for index, core_id in enumerate(self.core_ids):
-            if self._split:
-                count = int(self.transactions_by_core[index, run])
-            else:
-                count = lines + words
+            cell = index * runs + run
+            count = int(self.lines[cell] + self.words[cell])
             if count > 0:
                 transactions[core_id] = count
-                contention[core_id] = int(self.contention_by_core[index, run])
+                contention[core_id] = int(self.waits[cell])
+        lines, words = self.kinds_for(run)
         return BusStats(
             transactions=lines + words,
-            contention_cycles=int(self.contention[run]),
+            contention_cycles=int(self.waits[run::runs].sum()),
             transfer_cycles=lines * self._line_cost + words * self._word_cost,
             contention_by_master=contention,
             transactions_by_master=transactions,
@@ -1158,8 +975,9 @@ class _VecBus:
 
 
 class _VecMemory:
-    """DRAM controller with per-run open-row/refresh state and the full
-    per-run counter breakdown of :class:`MemoryStats`.
+    """DRAM controller with per-run open-row/refresh state and the
+    per-run row, refresh and cycle counters of :class:`MemoryStats`
+    (access counts come from the bus: one access per transaction).
 
     The default configuration (closed-page, no refresh) makes every
     access a configuration constant: it is returned as a plain int, so
@@ -1173,36 +991,31 @@ class _VecMemory:
         self.cfg = cfg
         self._closed = cfg.page_policy == "closed"
         self._refresh = cfg.refresh_interval_cycles > 0
-        self._constant = self._closed and not self._refresh
+        self.constant = self._closed and not self._refresh
         if not self._closed:
             self.open_rows = np.full((runs, cfg.num_banks), -1, dtype=np.int64)
         self._read_cost = cfg.cas_cycles + cfg.activate_cycles
         self._write_cost = self._read_cost + cfg.write_cycles
-        self.reads = np.zeros(runs, dtype=np.int64)
-        self.writes = np.zeros(runs, dtype=np.int64)
         self.row_hits = np.zeros(runs, dtype=np.int64)
         self.row_conflicts = np.zeros(runs, dtype=np.int64)
         self.refresh_stalls = np.zeros(runs, dtype=np.int64)
         self.total_cycles = np.zeros(runs, dtype=np.int64)
 
-    def access_idx(self, run_sel: Any, addrs: Any, is_write: bool, now: Any) -> Any:
+    def access_idx(self, run_sel: Any, addrs: Any, is_write: Any, now: Any) -> Any:
         """Vectorized ``MemoryController.access`` on the indexed runs
         (``slice(None)`` for every run) at per-run times ``now``.
 
-        ``addrs`` is one shared address or one per run.  Returns the
-        device latency — a plain int on the constant closed-page path,
-        else a per-run array."""
+        ``addrs`` is one shared address or one per run, ``is_write`` one
+        bool or one per run.  Returns the device latency — a plain int
+        on the constant closed-page path with one kind, else a per-run
+        array."""
         np = _np
         cfg = self.cfg
-        if is_write:
-            self.writes[run_sel] += 1
-        else:
-            self.reads[run_sel] += 1
-        if self._constant:
-            return self._write_cost if is_write else self._read_cost
         cost: Any
         if self._closed:
-            cost = self._write_cost if is_write else self._read_cost
+            cost = self._read_cost + (self._write_cost - self._read_cost) * is_write
+            if self.constant:
+                return cost
         else:
             row_index = addrs // cfg.row_bytes
             bank = row_index % cfg.num_banks
@@ -1213,7 +1026,7 @@ class _VecMemory:
             conflict = ~same & ~empty
             cost = (
                 cfg.cas_cycles
-                + (cfg.write_cycles if is_write else 0)
+                + cfg.write_cycles * is_write
                 + np.where(empty, cfg.activate_cycles, 0)
                 + np.where(conflict, cfg.precharge_cycles + cfg.activate_cycles, 0)
             )
@@ -1231,12 +1044,12 @@ class _VecMemory:
         self.total_cycles[run_sel] += cost
         return cost
 
-    def stats_for(self, run: int) -> MemoryStats:
-        """Per-run counters as a scalar-shaped :class:`MemoryStats`."""
-        reads = int(self.reads[run])
-        writes = int(self.writes[run])
+    def stats_for(self, run: int, reads: int, writes: int) -> MemoryStats:
+        """Per-run counters as a scalar-shaped :class:`MemoryStats`;
+        ``reads``/``writes`` are the run's accesses, one per bus line or
+        word transaction (:meth:`_VecBus.kinds_for`)."""
         total = int(self.total_cycles[run])
-        if self._constant:
+        if self.constant:
             total += reads * self._read_cost + writes * self._write_cost
         return MemoryStats(
             reads=reads,
@@ -1311,45 +1124,85 @@ class _VecStoreBuffer:
         self.count[lanes] += 1
 
 
-def _component_seeds(
-    seeds: Sequence[int], core_ids: Sequence[int]
-) -> Tuple[List[int], List[int], List[int], List[int]]:
+class _VecStoreWindow:
+    """Per-lane write-through store buffer whose entries drain in FIFO
+    order, index form.
+
+    When a lane's entry ready times never decrease — the case with a
+    constant DRAM write latency, since each store's bus transaction ends
+    no earlier than the lane's previous one — the scalar drain pops
+    exactly the entries already ready.  A store then finds the buffer
+    full iff the store ``depth`` back on the lane is still pending, and
+    stalls until that entry's ready time.  So the ready times of the
+    lane's last ``depth`` stores are the whole state.
+    """
+
+    def __init__(self, lanes: int, depth: int) -> None:
+        np = _np
+        self.depth = depth
+        self.ready = np.zeros(lanes * depth, dtype=np.int64)
+        self.stores = np.zeros(lanes, dtype=np.int64)
+
+    def stall(self, lanes: Any, now: Any) -> Tuple[Any, Any]:
+        """(issue times after the full-buffer stall, ring slots) of one
+        store per indexed lane."""
+        np = _np
+        stores = self.stores[lanes]
+        self.stores[lanes] = stores + 1
+        slots = lanes * self.depth + stores % self.depth
+        return np.maximum(now, self.ready[slots]), slots
+
+    def push(self, slots: Any, ready_at: Any) -> None:
+        """Record the stores' drain times (slots from :meth:`stall`)."""
+        self.ready[slots] = ready_at
+
+
+def _seed_array(seeds: Any) -> Any:
+    """Seeds as a uint64 array (ints are reduced mod 2**64)."""
+    np = _np
+    if isinstance(seeds, np.ndarray):
+        return seeds.astype(np.uint64)
+    return np.array([int(seed) & _M64 for seed in seeds], dtype=np.uint64)
+
+
+def _derive_seeds(seeds: Any, *components: int) -> Any:
+    """Vectorized :func:`~repro.platform.prng.derive_seed` over uint64
+    base seeds (a SplitMix64 chain: one draw per link)."""
+    np = _np
+    value = _mix(1, seeds)
+    for component in components:
+        value = _mix(1, value ^ np.uint64(component & _M64))
+    return value & np.uint64((1 << 63) - 1)
+
+
+def _component_seeds(seeds: Sequence[int], core_id: int) -> List[Any]:
     """Per-lane IL1/DL1/ITLB/DTLB seeds of the scalar reset path — the
     per-core seed, then per-component sub-seeds, so every lane draws the
-    scalar streams.  Lanes are core-major (lane ``ci * R + r`` is core
-    ``core_ids[ci]`` on run ``r``)."""
-    icache: List[int] = []
-    dcache: List[int] = []
-    itlb: List[int] = []
-    dtlb: List[int] = []
-    for core_id in core_ids:
-        for seed in seeds:
-            core_seed = derive_seed(seed, core_id + 101)
-            icache.append(derive_seed(core_seed, core_id, 0))
-            dcache.append(derive_seed(core_seed, core_id, 1))
-            itlb.append(derive_seed(core_seed, core_id, 2))
-            dtlb.append(derive_seed(core_seed, core_id, 3))
-    return icache, dcache, itlb, dtlb
+    scalar streams."""
+    core_seeds = _derive_seeds(_seed_array(seeds), core_id + 101)
+    return [_derive_seeds(core_seeds, core_id, part) for part in range(4)]
 
 
 class _VecCore:
-    """The private components of every lane: IL1, DL1, ITLB, DTLB and
-    the store buffer, seeded as :func:`_component_seeds` lays out."""
+    """The private components of one core on every lane (one lane per
+    run): IL1, DL1, ITLB and DTLB, seeded as :func:`_component_seeds`
+    lays out.  ``tag_type`` narrows the tag stores when every line and
+    page number fits it."""
 
     def __init__(
         self,
         core_cfg: CoreConfig,
         seeds: Sequence[int],
-        core_ids: Sequence[int],
+        core_id: int,
         prng_mode: str,
+        tag_type: Any = "int64",
     ) -> None:
-        lanes = len(seeds) * len(core_ids)
-        icache, dcache, itlb, dtlb = _component_seeds(seeds, core_ids)
-        self.icache = _VecCache(core_cfg.icache, icache, lanes, prng_mode)
-        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes, prng_mode)
-        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes, prng_mode)
-        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes, prng_mode)
-        self.store_buffer = _VecStoreBuffer(lanes, core_cfg.store_buffer_depth)
+        lanes = len(seeds)
+        icache, dcache, itlb, dtlb = _component_seeds(seeds, core_id)
+        self.icache = _VecCache(core_cfg.icache, icache, lanes, prng_mode, tag_type)
+        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes, prng_mode, tag_type)
+        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes, prng_mode, tag_type)
+        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes, prng_mode, tag_type)
 
 
 # ----------------------------------------------------------------------
@@ -1383,7 +1236,8 @@ class _BatchEngine:
         self.core_cfg = cfg.core
         self.core_id = core_id
         self.runs = len(seeds)
-        self.core = _VecCore(cfg.core, seeds, (core_id,), cfg.prng_mode)
+        self.core = _VecCore(cfg.core, seeds, core_id, cfg.prng_mode)
+        self.store_buffer = _VecStoreBuffer(self.runs, cfg.core.store_buffer_depth)
         self.bus = _VecBus(cfg.bus, self.runs, (core_id,))
         self.memory = _VecMemory(cfg.memory, self.runs)
 
@@ -1393,7 +1247,7 @@ class _BatchEngine:
         dcache = self.core.dcache
         itlb = self.core.itlb
         dtlb = self.core.dtlb
-        store_buffer = self.core.store_buffer
+        store_buffer = self.store_buffer
         bus = self.bus
         memory = self.memory
         # The store buffer scatters per lane; the bus and DRAM take every
@@ -1469,7 +1323,7 @@ class _BatchEngine:
                 fpu=replace(fpu_total),
                 pipeline=replace(pipeline_total),
                 core_id=self.core_id,
-                bus_contention_cycles=int(bus.contention[run]),
+                bus_contention_cycles=int(bus.waits[run]),
             )
             for run in range(self.runs)
         ]

@@ -3,46 +3,62 @@
 Contention campaigns execute the *same* scenario — one analysis trace
 plus looping opponent traces on the other cores — once per replication,
 varying only the per-run platform randomization.  The scalar path pays
-the Python interpreter per interleave step per run; this module advances
-all ``R`` replications of a scenario in lockstep: one global step
-executes, for every run, one instruction on the run's
-min-``(now, core_id)`` core (see :mod:`repro.platform.schedule` — the
-per-run ``argmin`` over a cores × runs cycle matrix realizes exactly
-the policy the scalar :func:`~repro.platform.schedule.run_min_time_interleave`
-heap executes, because ties break toward the lowest row index and the
-rows are ordered by core id).
+the Python interpreter per interleave step per run; this module splits
+the work into a per-core *private pass* and a *shared merge*.
 
-The engine flattens the (scheduled core, replication) grid into one
-*superlane* dimension of ``C·R`` lanes (core-major, so superlane
-``ci·R + r`` is core ``ci``'s lane for run ``r``): IL1/DL1/ITLB/DTLB tag
-stores, the store-buffer rings, cycle counters and trace cursors are all
-superlane-wide.  The hardware models are the single-core engine's
-(:mod:`repro.platform.batch`), driven in their *index* form: because
-each run advances exactly one core per step, the step's work involves
-at most ``R`` superlanes — and each sub-event (fetch probe, TLB walk,
-load, store) far fewer — so callers pass arrays of unique lane indices
-with per-lane addresses and the components gather, compute at the
-event's width, and scatter back.  The scatters are race-free by the
-same invariant (one selected lane per run, unique indices).  The shared
-bus and DRAM controller keep per-run state (busy horizon, round-robin
-grant pointer, per-master splits matching
-:class:`~repro.platform.bus.BusStats`, open-row/refresh state) addressed
-by the event's unique run indices.
+Why the split is exact
+----------------------
 
-Lanes' interleavings diverge (randomized caches make contention
-lane-specific), so per-instruction facts — fetch probes, page changes,
-pipeline and FPU costs, memory operations — are precompiled into
-per-index tables (the single-core compiler's rows, stacked) and gathered
-at each superlane's own cursor.  Looping co-runners use a two-region
-table: region one compiles the trace with cold fetch/translation
-locality (a fresh
-:class:`~repro.platform.core.CoreStepper`), region two with the locality
-carried over the wrap.  The end-of-pass locality state is a fixed point
-— it is determined by the trace's last program counter and last data
-access — so the wrapped region is exact for every pass after the first.
-Pipeline and FPU statistics are locality-independent per index and are
-reconstructed per lane from exclusive prefix sums at the lane's final
-instruction count.
+A core's private state — IL1/DL1/ITLB/DTLB contents, victim draws,
+hit/miss sequence — depends only on its own access sequence (its trace
+and the run seed), never on when the accesses happen: no private model
+reads the clock.  Only the bus, the DRAM controller and the store
+buffer are timed.  So each scheduled core's private components run
+once, in the single-core engine's broadcast form
+(:mod:`repro.platform.batch`), over the core's compiled events
+(:func:`~repro.platform.batch._compiled_segment`), for all ``R`` runs
+at once.  The pass records per event and run which components missed
+(one byte of flags) and keeps each run's *private clock*: static
+pipeline/FPU costs plus TLB walk penalties.
+
+An instruction touches shared state only when it issues a bus request:
+an IL1 miss, a DL1 load miss, or a write-through store.  These *bus
+instructions* (plus the analysis core's last instruction, where the run
+halts) become per-run *records* ``(event, private clock, instruction
+count, flags)``, appended to a per-lane ring (lane ``ci·R + r`` is core
+``ci`` on run ``r``).  Looping co-runners are compiled twice — a cold
+pass and a wrapped pass whose fetch/translation locality is carried
+over the wrap; the end-of-pass locality is a fixed point (it depends
+only on the trace's last pc and last data access), so the wrapped
+compile is exact for every pass after the first.  Events are generated
+in chunks, on demand, while the merge needs records.
+
+The merge replays the interleave on records only.  By
+:mod:`repro.platform.schedule`, the scalar execution order is the merge
+of the per-core streams sorted by each instruction's pre-execution
+``(now, core_id)``; restricted to bus instructions it is the merge of
+the per-core bus-instruction streams by the same key.  A record's start
+time is the core's time after its previous record plus the private
+cycles in between, so each global step picks, per run, the core with
+the smallest ``(start of next record, core id)`` — one minimum over the
+cores × runs matrix of keys encoded as ``start << bits | row`` — and
+executes that record's bus, DRAM and store-buffer work.  A run halts
+after its analysis core's last instruction.  With a constant DRAM write
+latency the store buffer drains in FIFO order, so the merge keeps only
+each lane's last ``depth`` drain times
+(:class:`~repro.platform.batch._VecStoreWindow`).
+
+Halt snapshots
+--------------
+
+A co-runner executes exactly the instructions whose key is below
+``(T_last, analysis_core)``, ``T_last`` being the start of the analysis
+core's last instruction.  Past the co-runner's last executed record,
+its instructions start at ``now + (private clock - q)`` (``q`` = private
+clock at that record's last bus access), so the executed count follows
+from a search over the private clock.  Cache/TLB counters at that count
+are the pass's final counters minus the flags of the later events;
+pipeline/FPU counters come from per-trace prefix sums.
 
 Bit-identity contract
 ---------------------
@@ -52,17 +68,15 @@ interleave *exactly*: per-core cycle counts and instruction counts,
 cache/TLB/FPU/pipeline counters, the bus per-master contention and
 transaction splits and the DRAM breakdown equal bit for bit
 ``[platform.run_concurrent(traces, seed, ...) for seed in seeds]``
-(verified by ``tests/platform/test_concurrent_batch.py``).  Runs halt
-per lane the moment the lane's analysis core retires its last
-instruction, freezing that lane's co-runner snapshots — the same
-boundary the scalar scheduler realizes.
+(verified by ``tests/platform/test_concurrent_batch.py``).
 
 Deterministic platforms reuse the degenerate broadcast argument of the
 single-core engine: nothing consumes the per-run seed, so one scalar
 reference execution is measured and cloned per run.
 
 Unsupported shapes — non-vectorized placement/replacement policies,
-bus grant logging, numpy missing — raise
+bus grant logging, numpy missing, a private clock beyond 32 bits —
+raise
 :class:`~repro.platform.batch.BatchUnsupported`; callers
 (:mod:`repro.api.backend`) fall back to the scalar path under
 ``backend="auto"``.
@@ -70,25 +84,39 @@ bus grant logging, numpy missing — raise
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from .batch import (
     BatchUnsupported,
+    _compiled_segment,
     _cores_unsupported_reason,
-    _lane_table,
-    _LaneTable,
+    _memoized,
     _policy_unsupported_reason,
     _VecBus,
     _VecCore,
     _VecMemory,
+    _VecStoreBuffer,
+    _VecStoreWindow,
 )
-from .core import _MK_LOAD, _MK_STORE, RunResult
+from .core import (
+    _MK_LOAD,
+    _MK_NONE,
+    _MK_STORE,
+    _STAT_FIELDS,
+    CoreConfig,
+    RunResult,
+    _CompiledSegment,
+    _issue_keys,
+    _issue_table,
+)
+from .cache import CacheStats
 from .fpu import FpuStats
 from .pipeline import PipelineStats
-from .schedule import UNSCHEDULABLE
 from .soc import ConcurrentRunResult, Platform
-from .trace import Trace
+from .tlb import TlbStats
+from .trace import InstrKind, Trace
 
 try:  # numpy is optional: without it co-scheduled campaigns stay scalar.
     import numpy as _np
@@ -114,18 +142,500 @@ def concurrent_batch_unsupported_reason(
 
 
 # ----------------------------------------------------------------------
-# Engine
+# Per-trace tables
+# ----------------------------------------------------------------------
+
+#: Per-event, per-run flags of the private pass (one byte).
+_ITLB_MISS, _IL1_MISS, _IL1_EVICT = 1, 2, 4
+_DTLB_MISS, _DL1_MISS, _DL1_EVICT = 8, 16, 32
+#: Record-only flag: the record is a store.
+_STORE = 64
+#: Static per-event kinds, for the counters of a halt snapshot.
+_FETCH, _ITLB_LOOKUP, _LOAD, _STORE_EV, _DTLB_LOOKUP = 1, 2, 4, 8, 16
+
+#: Runs × events per generated chunk (bounds the chunk's flag matrix),
+#: and the most events a chunk spans: a chunk runs for every run, so
+#: with few runs a wide chunk would generate passes no run reaches.
+_CHUNK_CELLS = 1 << 15
+_CHUNK_EVENTS = 256
+#: Encoded key of a lane with no record to come.
+_NEVER = (1 << 63) - 1
+#: Largest private clock or instruction count a ring record holds.
+_INT32_MAX = (1 << 31) - 1
+
+
+@dataclass
+class _Pass:
+    """One compiled pass of a trace: the events the broadcast private
+    pass drains, plus per-event static arrays (instruction index,
+    static clock at the event's start, :data:`_FETCH`-style kinds)."""
+
+    events: List[Tuple[int, int, int, int, int, int, int]]
+    index: Any
+    start: Any
+    kinds: Any
+
+
+@dataclass
+class _TraceTables:
+    """Everything trace-pure the engine needs for one trace.
+
+    ``charged[n]`` is the static clock before instruction ``n`` of a
+    pass and ``prefix[n]`` the nine pipeline/FPU counters after ``n``
+    instructions; both are locality-independent.  ``wrapped`` is the
+    wrapped-pass compile of a looping trace (None otherwise);
+    ``tag_type`` the narrowest tag dtype that holds the trace's line and
+    page numbers.
+    """
+
+    length: int
+    charged: Any
+    prefix: Any
+    cold: _Pass
+    wrapped: Optional[_Pass]
+    tag_type: Any
+
+
+#: Memoized trace tables (see :func:`~repro.platform.batch._memoized`).
+_TABLE_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
+_TABLE_CACHE_SIZE = 128
+
+
+def _trace_tables(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _TraceTables:
+    return _memoized(
+        _TABLE_CACHE,
+        _TABLE_CACHE_SIZE,
+        trace,
+        core_cfg,
+        lambda: _build_tables(trace, core_cfg, looping),
+        looping,
+    )
+
+
+def _build_tables(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _TraceTables:
+    np = _np
+    length = len(trace)
+    table = _issue_table(set(_issue_keys(trace)), core_cfg)
+    key_ids = {key: index for index, key in enumerate(table)}
+    ids = np.fromiter(
+        map(key_ids.__getitem__, _issue_keys(trace)), dtype=np.int64, count=length
+    )
+    entries = list(table.values())
+    costs = np.array([cost for cost, _ in entries], dtype=np.int64)
+    increments = np.array(
+        [counters for _, counters in entries], dtype=np.int64
+    ).reshape(-1, _STAT_FIELDS)
+    charged = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(costs[ids], out=charged[1:])
+    prefix = np.zeros((length + 1, _STAT_FIELDS), dtype=np.int64)
+    np.cumsum(increments[ids], axis=0, out=prefix[1:])
+    cold = _compiled_segment(trace, core_cfg)
+    shift = min(
+        core_cfg.icache.line_shift,
+        core_cfg.dcache.line_shift,
+        core_cfg.itlb.page_shift,
+        core_cfg.dtlb.page_shift,
+    )
+    top = max(max(trace.pcs, default=0), max(trace.addrs, default=0)) >> shift
+    wrapped = None
+    if looping and length:
+        again = _compiled_segment(trace, core_cfg, cold.locality)
+        wrapped = _pass_arrays(trace, core_cfg, again, charged, cold.locality[0])
+    return _TraceTables(
+        length=length,
+        charged=charged,
+        prefix=prefix,
+        cold=_pass_arrays(trace, core_cfg, cold, charged, -1),
+        wrapped=wrapped,
+        tag_type=np.int32 if top < _INT32_MAX else np.int64,
+    )
+
+
+def _pass_arrays(
+    trace: Trace,
+    core_cfg: CoreConfig,
+    compiled: _CompiledSegment,
+    charged: Any,
+    last_line: int,
+) -> _Pass:
+    """Attach the static per-event arrays to one compiled pass.  An
+    instruction is an event when it changes fetch line (from
+    ``last_line`` on) or accesses memory — the compile's own rule."""
+    np = _np
+    lines = np.array(trace.pcs, dtype=np.int64) >> core_cfg.icache.line_shift
+    kinds = np.array(trace.kinds, dtype=np.int64)
+    memory = (kinds == InstrKind.LOAD) | (kinds == InstrKind.STORE)
+    previous = np.concatenate(([last_line], lines[:-1]))
+    index = np.flatnonzero((lines != previous) | memory)
+    events = np.array(compiled.events, dtype=np.int64).reshape(-1, 7)
+    assert len(index) == len(events)
+    fetch, itlb, mem_kind, dtlb = events[:, 1], events[:, 2], events[:, 3], events[:, 5]
+    static_kinds = (
+        (fetch >= 0) * _FETCH
+        + (itlb >= 0) * _ITLB_LOOKUP
+        + (mem_kind == _MK_LOAD) * _LOAD
+        + (mem_kind == _MK_STORE) * _STORE_EV
+        + (dtlb >= 0) * _DTLB_LOOKUP
+    ).astype(np.uint8)
+    return _Pass(
+        events=compiled.events,
+        index=index,
+        start=charged[index],
+        kinds=static_kinds,
+    )
+
+
+# ----------------------------------------------------------------------
+# Private pass
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _Chunk:
+    """Static arrays and private-pass flags of one generated chunk:
+    per event its absolute instruction index and static clock, its
+    static kinds, and the ``(events, runs)`` flag matrix."""
+
+    index: Any
+    start: Any
+    kinds: Any
+    flags: Any
+
+
+class _CoreStream:
+    """One scheduled core's private pass over its event stream — the
+    cold pass, then (looping cores) wrapped passes without end — driven
+    chunk by chunk in broadcast form over all runs.
+
+    ``pen`` holds each run's TLB walk cycles so far: a run's private
+    clock at an event is the event's static clock plus ``pen`` before
+    it.  ``steady`` marks looping runs that went a whole wrapped pass
+    without a bus instruction: their caches then hit on every later
+    pass and they never store, so they never touch the bus again.
+    """
+
+    def __init__(
+        self,
+        row: int,
+        core_id: int,
+        trace: Trace,
+        platform: Platform,
+        seeds: Sequence[int],
+        looping: bool,
+        forced_end: bool,
+        gid_base: int,
+    ) -> None:
+        np = _np
+        cfg = platform.config
+        runs = len(seeds)
+        tables = _trace_tables(trace, cfg.core, looping)
+        self.row = row
+        self.core_id = core_id
+        self.tables = tables
+        self.length = tables.length
+        self.total = int(tables.charged[-1])
+        self.core = _VecCore(
+            cfg.core, seeds, core_id, cfg.prng_mode, tables.tag_type
+        )
+        self.ipen = cfg.core.itlb.walk_penalty_cycles
+        self.dpen = cfg.core.dtlb.walk_penalty_cycles
+        self.pen = np.zeros(runs, dtype=np.int64)
+        self.position = 0
+        self.chunks: List[_Chunk] = []
+        self.steady = np.zeros(runs, dtype=bool)
+        self.last_record = np.full(runs, -1, dtype=np.int64)
+        cold = tables.cold
+        # The run halts after the analysis core's last instruction, so
+        # that instruction is a record even when it is not an event (an
+        # event that touches nothing then marks it).
+        self.halts = forced_end and self.length > 0
+        last = self.length - 1
+        if self.halts and not (len(cold.index) and cold.index[-1] == last):
+            cold = _Pass(
+                events=cold.events + [(0, -1, -1, _MK_NONE, -1, -1, 0)],
+                index=np.append(cold.index, last),
+                start=np.append(cold.start, tables.charged[last]),
+                kinds=np.append(cold.kinds, np.uint8(0)),
+            )
+        self.passes = [cold] if tables.wrapped is None else [cold, tables.wrapped]
+        self.gid_bases = [gid_base, gid_base + len(cold.events)]
+        self.cold_events = len(cold.events)
+        self.wrap_events = len(tables.wrapped.events) if tables.wrapped else 0
+
+    @property
+    def exhausted(self) -> bool:
+        """No event is left to generate."""
+        return self.position >= self.cold_events and not self.wrap_events
+
+    def _locate(self, position: int) -> Tuple[int, int]:
+        """(pass number, event index in the pass) of a stream position."""
+        if position < self.cold_events:
+            return 0, position
+        wrapped, local = divmod(position - self.cold_events, self.wrap_events)
+        return wrapped + 1, local
+
+    def generate(self, width: int) -> Tuple[Any, Any, Any, Any, Any, Any]:
+        """Run the next ``width`` events of the stream through the
+        private components; returns this chunk's records lane-major as
+        ``(counts per run, run, gid, private clock, instruction count,
+        flags)``."""
+        np = _np
+        core = self.core
+        icache, dcache, itlb, dtlb = core.icache, core.dcache, core.itlb, core.dtlb
+        dcache_allocates = dcache._allocate_on_write
+        pen = self.pen
+        first = self.position
+        gids: List[Any] = []
+        index: List[Any] = []
+        start: List[Any] = []
+        kinds: List[Any] = []
+        events: List[Tuple[int, int, int, int, int, int, int]] = []
+        position = first
+        while position < first + width and (
+            position < self.cold_events or self.wrap_events
+        ):
+            number, local = self._locate(position)
+            kind = min(number, 1)
+            part = self.passes[kind]
+            end = min(len(part.events), local + first + width - position)
+            events += part.events[local:end]
+            gids.append(self.gid_bases[kind] + np.arange(local, end))
+            index.append(part.index[local:end] + number * self.length)
+            start.append(part.start[local:end] + number * self.total)
+            kinds.append(part.kinds[local:end])
+            position += end - local
+        self.position = position
+        count = len(events)
+        flags = np.zeros((count, len(pen)), dtype=np.uint8)
+        pen_before = np.empty((count, len(pen)), dtype=np.int64)
+        for k, (_, fetch_pc, itlb_page, mem_kind, addr, dtlb_page, _) in enumerate(
+            events
+        ):
+            pen_before[k] = pen
+            row = flags[k]
+            if fetch_pc >= 0:
+                if itlb_page >= 0:
+                    lanes = itlb.lookup(itlb_page, pen)
+                    if lanes.size:
+                        row[lanes] |= _ITLB_MISS
+                lanes = icache.read(fetch_pc)
+                if lanes.size:
+                    row[lanes] |= _IL1_MISS
+                    row[icache.evicted] |= _IL1_EVICT
+            if mem_kind == _MK_NONE:
+                continue
+            if dtlb_page >= 0:
+                lanes = dtlb.lookup(dtlb_page, pen)
+                if lanes.size:
+                    row[lanes] |= _DTLB_MISS
+            if mem_kind == _MK_LOAD:
+                lanes = dcache.read(addr)
+            else:
+                lanes = dcache.write(addr)
+            if lanes.size:
+                row[lanes] |= _DL1_MISS
+                if mem_kind == _MK_LOAD or dcache_allocates:
+                    row[dcache.evicted] |= _DL1_EVICT
+        chunk = _Chunk(
+            index=np.concatenate(index),
+            start=np.concatenate(start),
+            kinds=np.concatenate(kinds),
+            flags=flags,
+        )
+        self.chunks.append(chunk)
+        return self._records(chunk, gids, pen_before, first)
+
+    def _records(
+        self, chunk: _Chunk, gids: List[Any], pen_before: Any, first: int
+    ) -> Tuple[Any, Any, Any, Any, Any, Any]:
+        """The chunk's bus instructions (and the forced halt event),
+        compacted per run."""
+        np = _np
+        flags = chunk.flags
+        count = len(flags)
+        gid = np.concatenate(gids)
+        loads = (chunk.kinds & _LOAD) != 0
+        stores = (chunk.kinds & _STORE_EV) != 0
+        bus_bits = np.where(loads, _IL1_MISS | _DL1_MISS, _IL1_MISS).astype(np.uint8)
+        record = ((flags & bus_bits[:, None]) != 0) | stores[:, None]
+        if self.halts and first < self.cold_events <= self.position:
+            record[self.cold_events - 1 - first] = True
+        run, event = np.nonzero(record.T)
+        counts = record.sum(axis=0)
+        clock = chunk.start[event] + pen_before[event, run]
+        if clock.size and (
+            int(clock.max()) > _INT32_MAX or int(chunk.index[-1]) >= _INT32_MAX
+        ):
+            raise BatchUnsupported("run too long for the 32-bit record ring")
+        has = counts > 0
+        if self.wrap_events:
+            last = count - 1 - record[::-1].argmax(axis=0)
+            self.last_record[has] = first + last[has]
+            # A whole wrapped pass past a run's last record without one.
+            past = np.maximum(self.last_record + 1 - self.cold_events, 0)
+            wrap_start = self.cold_events + self.wrap_events * (
+                (past + self.wrap_events - 1) // self.wrap_events
+            )
+            self.steady = wrap_start + self.wrap_events <= self.position
+        return (
+            counts,
+            run,
+            gid[event],
+            clock,
+            chunk.index[event] + 1,
+            flags[event, run] | np.where(stores[event], _STORE, 0).astype(np.uint8),
+        )
+
+    # -- halt snapshots -------------------------------------------------
+    def release(self, executed: int) -> None:
+        """Drop the chunks wholly before instruction ``executed - 1``:
+        every run has executed a record past them, and halt snapshots
+        only look at events from a run's last executed record on."""
+        while len(self.chunks) > 1 and self.chunks[0].index[-1] < executed - 1:
+            del self.chunks[0]
+
+    def _penalties(self, flags: Any) -> Any:
+        return ((flags & _ITLB_MISS) != 0) * self.ipen + (
+            (flags & _DTLB_MISS) != 0
+        ) * self.dpen
+
+    def static_clock(self, n: Any) -> Any:
+        """Static clock before absolute instruction ``n`` (per run)."""
+        if not self.length:
+            return _np.zeros_like(n)
+        passes, local = _np.divmod(n, self.length)
+        return passes * self.total + self.tables.charged[local]
+
+    def _first_static(self, x: Any, low: Any, high: Any) -> Any:
+        """First instruction ``n`` in ``[low, high]`` whose static clock
+        is at least ``x`` (``high`` if none)."""
+        np = _np
+        if self.total > 0:
+            passes = np.maximum((x - 1) // self.total, 0)
+            n = passes * self.length + np.searchsorted(
+                self.tables.charged, x - passes * self.total, "left"
+            )
+        else:
+            n = np.where(x <= 0, low, high)
+        return np.minimum(np.maximum(n, low), high)
+
+    def first_at(self, threshold: Any, width: int) -> Any:
+        """Per run, the first instruction whose private clock (static
+        clock plus the TLB walks of the events before it) is at least
+        ``threshold``."""
+        np = _np
+        runs = len(threshold)
+        while not self.exhausted and self.chunks:
+            last = self.chunks[-1]
+            clock = last.start[-1] + self.pen - self._penalties(last.flags[-1])
+            if (clock >= threshold).all():
+                break
+            self.generate(width)
+        end = self.length if not self.wrap_events else 1 << 62
+        found_index = np.full(runs, end, dtype=np.int64)
+        found_pen = self.pen.copy()
+        previous = np.full(runs, -1, dtype=np.int64)
+        open_runs = np.ones(runs, dtype=bool)
+        pen_after = self.pen.copy()
+        for chunk in reversed(self.chunks):
+            penalties = self._penalties(chunk.flags)
+            suffix = penalties[::-1].cumsum(axis=0)[::-1]
+            before = pen_after - suffix
+            reached = chunk.start[:, None] + before >= threshold
+            k = reached.argmax(axis=0)
+            inside = open_runs & reached.any(axis=0)
+            # Past this chunk's first event: e* lies here (or later).
+            here = inside & (k > 0)
+            rows = np.flatnonzero(here)
+            found_index[here] = chunk.index[k[here]]
+            found_pen[here] = before[k[here], rows]
+            previous[here] = chunk.index[k[here] - 1]
+            none = open_runs & ~inside
+            previous[none] = chunk.index[-1]
+            at_first = inside & (k == 0)
+            found_index[at_first] = chunk.index[0]
+            found_pen[at_first] = before[0, at_first]
+            open_runs &= at_first
+            pen_after = pen_after - suffix[0]
+            if not open_runs.any():
+                break
+        return self._first_static(threshold - found_pen, previous + 1, found_index)
+
+    def snapshot(self, count: Any) -> Tuple[Any, List[Tuple[Any, ...]]]:
+        """Per run, the TLB walk cycles before instruction ``count`` and
+        the IL1/DL1/ITLB/DTLB stats after it (the final counters minus
+        those of later events)."""
+        np = _np
+        runs = len(count)
+        later_pen = np.zeros(runs, dtype=np.int64)
+        bits = np.zeros((runs, 8), dtype=np.int64)
+        statics = np.zeros((runs, 5), dtype=np.int64)
+        store_misses = np.zeros(runs, dtype=np.int64)
+        static_bits = np.array([_FETCH, _ITLB_LOOKUP, _LOAD, _STORE_EV, _DTLB_LOOKUP])
+        for chunk in reversed(self.chunks):
+            if (chunk.index[-1] < count).all():
+                break
+            later = chunk.index[:, None] >= count
+            flags = np.where(later, chunk.flags, 0).astype(np.uint8)
+            later_pen += self._penalties(flags).sum(axis=0)
+            bits += np.unpackbits(flags[:, :, None], axis=2, bitorder="little").sum(
+                axis=0, dtype=np.int64
+            )
+            statics += later.T.astype(np.int64) @ (
+                (chunk.kinds[:, None] & static_bits) != 0
+            ).astype(np.int64)
+            store_misses += ((flags & _DL1_MISS) != 0)[
+                (chunk.kinds & _STORE_EV) != 0
+            ].sum(axis=0)
+        core = self.core
+        # Events from ``count`` on: static kinds, then flagged outcomes.
+        fetches, itlb_lookups, loads, stores, dtlb_lookups = statics.T
+        itlb_misses, il1_misses, il1_evictions = bits[:, 0], bits[:, 1], bits[:, 2]
+        dtlb_misses, dl1_evictions = bits[:, 3], bits[:, 5]
+        load_misses = bits[:, 4] - store_misses
+        il1_reads = core.icache.reads - fetches
+        il1_hits = core.icache.read_hits - fetches + il1_misses
+        dl1_reads = core.dcache.reads - loads
+        dl1_hits = core.dcache.read_hits - loads + load_misses
+        dl1_writes = core.dcache.writes - stores
+        dl1_write_hits = core.dcache.write_hits - stores + store_misses
+        itlb = core.itlb.lookups - itlb_lookups
+        itlb_hits = core.itlb.hits - itlb_lookups + itlb_misses
+        dtlb = core.dtlb.lookups - dtlb_lookups
+        dtlb_hits = core.dtlb.hits - dtlb_lookups + dtlb_misses
+        il1 = np.column_stack(
+            (il1_hits, il1_reads - il1_hits, core.icache.evictions - il1_evictions)
+        ).tolist()
+        dl1 = np.column_stack(
+            (
+                dl1_hits,
+                dl1_reads - dl1_hits,
+                dl1_write_hits,
+                dl1_writes - dl1_write_hits,
+                core.dcache.evictions - dl1_evictions,
+            )
+        ).tolist()
+        itlbs = np.column_stack((itlb_hits, itlb - itlb_hits)).tolist()
+        dtlbs = np.column_stack((dtlb_hits, dtlb - dtlb_hits)).tolist()
+        return self.pen - later_pen, [
+            (CacheStats(h, m, 0, 0, e), CacheStats(*d), TlbStats(*i), TlbStats(*t))
+            for (h, m, e), d, i, t in zip(il1, dl1, itlbs, dtlbs)
+        ]
+
+
+# ----------------------------------------------------------------------
+# Shared merge
 # ----------------------------------------------------------------------
 
 
 class _ConcurrentEngine:
-    """All lane state of one batched co-scheduled campaign stride.
+    """One batched co-scheduled campaign stride: a :class:`_CoreStream`
+    per scheduled core, then the lockstep merge over their records.
 
-    The (scheduled core, run) grid is flattened core-major into one
-    superlane axis: private components live on ``C·R`` superlanes, the
-    shared bus/memory on ``R`` runs, and every global step gathers the
-    per-run selected superlanes and drives the index-form components
-    over them.
+    Lanes are core-major (lane ``ci·R + r`` is core ``ci`` on run
+    ``r``).  Each lane's records sit in a ring of ``capacity`` slots;
+    ``read``/``written`` count the records consumed and generated, and
+    the slot of the last consumed record is kept for the halt snapshot.
     """
 
     def __init__(
@@ -138,228 +648,336 @@ class _ConcurrentEngine:
     ) -> None:
         np = _np
         cfg = platform.config
-        core_cfg = cfg.core
         runs = len(seeds)
         self.runs = runs
         self.analysis_core = analysis_core
-        core_ids = sorted(traces_by_core)
-        self.core_ids = core_ids
-        self.analysis_index = core_ids.index(analysis_core)
-        num_cores = len(core_ids)
-        lanes = num_cores * runs
-        # Per-core tables concatenated into shared per-column arrays;
-        # cursors are *absolute* row indices (core base + local index).
-        self.tables: List[_LaneTable] = []
-        bases: List[int] = []
-        offset = 0
-        for core_id in core_ids:
-            table = _lane_table(
+        self.core_ids = sorted(traces_by_core)
+        self.width = min(_CHUNK_EVENTS, max(16, _CHUNK_CELLS // runs))
+        self.streams: List[_CoreStream] = []
+        fetch: List[int] = []
+        addr: List[int] = []
+        pre: List[int] = []
+        for row, core_id in enumerate(self.core_ids):
+            stream = _CoreStream(
+                row,
+                core_id,
                 traces_by_core[core_id],
-                core_cfg,
+                platform,
+                seeds,
                 looping=loop_co_runners and core_id != analysis_core,
+                forced_end=core_id == analysis_core,
+                gid_base=len(fetch),
             )
-            self.tables.append(table)
-            bases.append(offset)
-            offset += len(table.rows)
-        rows_all = np.concatenate([table.rows for table in self.tables], axis=0)
-        self._cols = tuple(
-            np.ascontiguousarray(rows_all[:, column]) for column in range(6)
+            self.streams.append(stream)
+            for part in stream.passes:
+                for event in part.events:
+                    fetch.append(event[1])
+                    addr.append(event[4])
+                    pre.append(event[6])
+        self.analysis = self.streams[self.core_ids.index(analysis_core)]
+        self.final_gid = (
+            self.analysis.gid_bases[0] + self.analysis.cold_events - 1
+            if self.analysis.length
+            else -1
         )
-        # Private components on the core-major superlane axis
-        # (superlane = ci*runs + r); shared ones per run.
-        self.core = _VecCore(core_cfg, seeds, core_ids, cfg.prng_mode)
-        self.bus = _VecBus(cfg.bus, runs, core_ids)
+        self.fetch_of = np.array(fetch, dtype=np.int64)
+        self.addr_of = np.array(addr, dtype=np.int64)
+        self.pre_of = np.array(pre, dtype=np.int64)
+        self.bus = _VecBus(cfg.bus, runs, self.core_ids)
         self.memory = _VecMemory(cfg.memory, runs)
+        lanes = len(self.core_ids) * runs
+        depth = cfg.core.store_buffer_depth
+        self.window = self.memory.constant
+        self.store_buffer = (
+            _VecStoreWindow(lanes, depth)
+            if self.window
+            else _VecStoreBuffer(lanes, depth)
+        )
         self.now = np.zeros(lanes, dtype=np.int64)
-        self.n = np.zeros(lanes, dtype=np.int64)
-        self.j = np.zeros(lanes, dtype=np.int64)
-        # Scheduling length per core row: a looping co-runner never
-        # exhausts, a finite trace unschedules at its instruction count.
-        self._sched_len = np.empty((num_cores, 1), dtype=np.int64)
-        wrap_needed = any(table.looping for table in self.tables)
-        wrap_at = np.full(lanes, -1, dtype=np.int64) if wrap_needed else None
-        wrap_to = np.zeros(lanes, dtype=np.int64) if wrap_needed else None
-        j2 = self.j.reshape(num_cores, runs)
-        for index, table in enumerate(self.tables):
-            base = bases[index]
-            j2[index] = base
-            if table.looping:
-                self._sched_len[index] = UNSCHEDULABLE
-                assert wrap_at is not None and wrap_to is not None
-                wrap_at.reshape(num_cores, runs)[index] = base + 2 * table.length
-                wrap_to.reshape(num_cores, runs)[index] = base + table.length
-            else:
-                self._sched_len[index] = table.length
-        self._wrap_at = wrap_at
-        self._wrap_to = wrap_to
+        self.q = np.zeros(lanes, dtype=np.int64)
+        # Scheduling keys, encoded ``start << bits | row`` so that one
+        # min over the cores axis gives the (start, core id) minimum.
+        self.bits = max(1, (len(self.core_ids) - 1).bit_length())
+        self.order = np.full(lanes, _NEVER, dtype=np.int64)
+        self.rows = np.arange(lanes) // runs
+        self.read = np.zeros(lanes, dtype=np.int64)
+        self.written = np.zeros(lanes, dtype=np.int64)
+        self.alive = np.full(runs, self.analysis.length > 0)
+        self.gid_type = np.int32 if len(fetch) > 1 << 16 else np.uint16
+        # Room for a chunk's records plus the runs' drift, so that the
+        # ring seldom grows.
+        self.capacity = 4 * self.width
+        self.base = np.arange(lanes, dtype=np.int64) * self.capacity
+        self.ring_gid = np.zeros(lanes * self.capacity, dtype=self.gid_type)
+        self.ring_clock = np.zeros(lanes * self.capacity, dtype=np.int32)
+        self.ring_count = np.zeros(lanes * self.capacity, dtype=np.int32)
+        self.ring_flags = np.zeros(lanes * self.capacity, dtype=np.uint8)
+        # Per-record quantities as tables over the flag byte.
+        flags = np.arange(128)
+        itlb = cfg.core.itlb.walk_penalty_cycles
+        dtlb = cfg.core.dtlb.walk_penalty_cycles
+        self.ipen_of = ((flags & _ITLB_MISS) != 0) * itlb
+        self.private_of = self.ipen_of + ((flags & _DTLB_MISS) != 0) * dtlb
+        self.fetch_miss = (flags & _IL1_MISS) != 0
+        # A data bus access: a store, or a load that missed the DL1.
+        self.data_op = (flags & (_DL1_MISS | _STORE)) != 0
+        self.is_store = (flags & _STORE) != 0
 
+    # -- record ring ------------------------------------------------------
+    def _grow(self, needed: int) -> None:
+        """Re-lay every lane's live records into a larger ring, one field
+        at a time (so only one field is ever held twice)."""
+        np = _np
+        old_capacity = self.capacity
+        self.capacity = max(needed, old_capacity + old_capacity // 4)
+        lanes = len(self.now)
+        first = np.maximum(self.read - 1, 0)
+        live = self.written - first
+        lane, offset = np.nonzero(np.arange(int(live.max()))[None, :] < live[:, None])
+        position = first[lane] + offset
+        source = lane * old_capacity + position % old_capacity
+        target = lane * self.capacity + position % self.capacity
+        for name in ("ring_gid", "ring_clock", "ring_count", "ring_flags"):
+            previous = getattr(self, name)
+            grown = np.zeros(lanes * self.capacity, dtype=previous.dtype)
+            grown[target] = previous[source]
+            setattr(self, name, grown)
+            del previous
+        self.base = np.arange(lanes, dtype=np.int64) * self.capacity
+
+    def _write(self, stream: _CoreStream, records: Tuple[Any, ...]) -> None:
+        """Append a chunk's records to the rings of the runs still going
+        (a halted run never reads another record)."""
+        np = _np
+        counts, run, gid, clock, count, flags = records
+        if not self.alive.all():
+            keep = self.alive[run]
+            run, gid, clock, count, flags = (
+                column[keep] for column in (run, gid, clock, count, flags)
+            )
+            counts = np.where(self.alive, counts, 0)
+        lanes = stream.row * self.runs + np.arange(self.runs)
+        written = self.written[lanes] + counts
+        needed = int((written - self.read[lanes]).max()) + 1
+        if needed > self.capacity:
+            self._grow(needed)
+        lane = stream.row * self.runs + run
+        rank = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+        slot = self.base[lane] + ((self.written[lane] + rank) % self.capacity)
+        self.ring_gid[slot] = gid
+        self.ring_clock[slot] = clock
+        self.ring_count[slot] = count
+        self.ring_flags[slot] = flags
+        self.written[lanes] = written
+
+    def _refill(self, lanes: Any) -> None:
+        """Generate events until every lane in ``lanes`` has an unread
+        record, its core can provably issue no more, or its run halted."""
+        runs = self.runs
+        rows = self.rows[lanes]
+        for row in sorted(set(rows.tolist())):
+            stream = self.streams[row]
+            mine = lanes[rows == row]
+            waiting = self.alive[mine - row * runs]
+            while not stream.exhausted:
+                starving = self.read[mine] >= self.written[mine]
+                if not (starving & waiting & ~stream.steady[mine - row * runs]).any():
+                    break
+                stream.release(int(self._executed(stream).min()))
+                self._write(stream, stream.generate(self.width))
+
+    def _executed(self, stream: _CoreStream) -> Any:
+        """Per run, the instructions up to the core's last executed
+        record (0 before its first)."""
+        np = _np
+        lanes = stream.row * self.runs + np.arange(self.runs)
+        read = self.read[lanes]
+        last = self.base[lanes] + (read - 1) % self.capacity
+        return np.where(read > 0, self.ring_count[last], 0).astype(np.int64)
+
+    def _next_order(self, lanes: Any, position: Any, now: Any, q: Any) -> Any:
+        """Encoded start times of the lanes' next records, which sit at
+        ring ``position`` (``_NEVER`` when none will come)."""
+        np = _np
+        has = position < self.written[lanes]
+        every = has.all()
+        if not every:
+            self._refill(lanes[~has])
+            has = position < self.written[lanes]
+        clock = self.ring_clock[self.base[lanes] + position % self.capacity]
+        order = ((now + clock - q) << self.bits) | self.rows[lanes]
+        return order if every else np.where(has, order, _NEVER)
+
+    # -- merge ------------------------------------------------------------
     def run(self) -> List[ConcurrentRunResult]:
         np = _np
         runs = self.runs
-        num_cores = len(self.core_ids)
+        bits = self.bits
+        row_mask = (1 << bits) - 1
         now = self.now
-        n = self.n
-        j = self.j
-        now2 = now.reshape(num_cores, runs)
-        n2 = n.reshape(num_cores, runs)
-        icache = self.core.icache
-        dcache = self.core.dcache
-        itlb = self.core.itlb
-        dtlb = self.core.dtlb
-        store_buffer = self.core.store_buffer
+        q = self.q
+        order = self.order
+        order2 = order.reshape(len(self.core_ids), runs)
+        read = self.read
         bus = self.bus
         memory = self.memory
-        col_fetch, col_ipage, col_pre, col_mkind, col_addr, col_dpage = self._cols
-        sched_len = self._sched_len
-        wrap_at = self._wrap_at
-        wrap_to = self._wrap_to
+        store_buffer = self.store_buffer
+        window = self.window
+        fetch_of, addr_of, pre_of = self.fetch_of, self.addr_of, self.pre_of
+        ipen_of, private_of = self.ipen_of, self.private_of
+        fetch_miss, data_op, is_store = self.fetch_miss, self.data_op, self.is_store
+        final_gid = self.final_gid
+        every = np.arange(len(now))
+        order[:] = self._next_order(every, read[every], now, q)
         run_ids = np.arange(runs)
-        analysis_len = self.tables[self.analysis_index].length
-        n_analysis = n2[self.analysis_index]
-        alive = n_analysis < analysis_len
+        t_last = np.zeros(runs, dtype=np.int64)
+        alive = self.alive
         all_alive = bool(alive.all())
-        while all_alive or alive.any():
-            # -- schedule: per-run argmin over the (cores, runs) cycle
-            # matrix; ties break to the lowest row = lowest core id.
-            sched = np.where(n2 < sched_len, now2, UNSCHEDULABLE)
-            selected = sched.argmin(axis=0)
+        while True:
+            # -- schedule: per run, the minimum (start, core id) key.
             if all_alive:
-                rows = selected
                 run_sel = run_ids
+                best = np.minimum.reduce(order2)
             else:
-                rows = selected[alive]
-                run_sel = run_ids[alive]
-            idx = rows * runs + run_sel
-            j_i = j[idx]
-            # -- fetch: line-crossing instructions probe ITLB/IL1; an
-            # IL1 miss raises a line transaction then a DRAM access at
-            # the post-bus time.
-            fetch = col_fetch[j_i]
-            f_sel = fetch >= 0
-            if f_sel.any():
-                fidx = idx[f_sel]
-                ipage = col_ipage[j_i[f_sel]]
-                i_sel = ipage >= 0
-                if i_sel.any():
-                    itlb.lookup_idx(fidx[i_sel], ipage[i_sel], now)
-                faddr = fetch[f_sel]
-                hit = icache.read_idx(fidx, faddr)
-                if not hit.all():
-                    miss = ~hit
-                    miss_idx = fidx[miss]
-                    now_m = now[miss_idx]
-                    bus_cost = bus.request_idx(
-                        rows[f_sel][miss], run_sel[f_sel][miss], now_m, True
-                    )
-                    mem_cost = memory.access_idx(
-                        run_sel[f_sel][miss], faddr[miss], False, now_m + bus_cost
-                    )
-                    now[miss_idx] = now_m + bus_cost + mem_cost
-            # -- pipeline (plus FPU extra cycles folded into the table).
-            now[idx] += col_pre[j_i]
-            # -- data access.
-            mem_kind = col_mkind[j_i]
-            l_sel = mem_kind == _MK_LOAD
-            s_sel = mem_kind == _MK_STORE
-            any_load = l_sel.any()
-            any_store = s_sel.any()
-            if any_load or any_store:
-                d_sel = l_sel | s_sel
-                dpage = col_dpage[j_i[d_sel]]
-                t_sel = dpage >= 0
-                if t_sel.any():
-                    dtlb.lookup_idx(idx[d_sel][t_sel], dpage[t_sel], now)
-                if any_load:
-                    lidx = idx[l_sel]
-                    laddr = col_addr[j_i[l_sel]]
-                    hit = dcache.read_idx(lidx, laddr)
-                    if not hit.all():
-                        miss = ~hit
-                        miss_idx = lidx[miss]
-                        now_m = now[miss_idx]
-                        bus_cost = bus.request_idx(
-                            rows[l_sel][miss], run_sel[l_sel][miss], now_m, True
+                run_sel = np.flatnonzero(alive)
+                if not run_sel.size:
+                    break
+                best = np.minimum.reduce(order2[:, run_sel])
+            rows = best & row_mask
+            start = best >> bits
+            lanes = rows * runs + run_sel
+            position = read[lanes]
+            slot = self.base[lanes] + position % self.capacity
+            gid = self.ring_gid[slot]
+            flags = self.ring_flags[slot].astype(np.intp)
+            # Private cycles of the record: TLB walks plus the static
+            # cost between its fetch and its data access.
+            private = private_of[flags] + pre_of[gid]
+            t = start + private
+            # -- fetch: an IL1 miss raises a line transaction, then a
+            # DRAM access at the post-bus time.
+            sel = fetch_miss[flags]
+            if sel.any():
+                sub_runs = run_sel[sel]
+                t_sel = start[sel] + ipen_of[flags[sel]]
+                cost = bus.request_idx(rows[sel], sub_runs, t_sel, True)
+                cost += memory.access_idx(
+                    sub_runs, fetch_of[gid[sel]], False, t_sel + cost
+                )
+                t[sel] += cost
+            # -- data: a DL1 load miss raises a line transaction then a
+            # DRAM read at the post-bus time.  A write-through store
+            # drains through the buffer: ``now`` only advances on a
+            # full-buffer stall, and its bus word transaction and DRAM
+            # write are timed at the post-stall issue time.
+            sel = data_op[flags]
+            if sel.any():
+                sub_lanes = lanes[sel]
+                sub_runs = run_sel[sel]
+                t_sel = t[sel]
+                stores = is_store[flags[sel]]
+                if stores.any():
+                    store_lanes = sub_lanes[stores]
+                    if window:
+                        t_sel[stores], store_slots = store_buffer.stall(
+                            store_lanes, t_sel[stores]
                         )
-                        mem_cost = memory.access_idx(
-                            run_sel[l_sel][miss],
-                            laddr[miss],
-                            False,
-                            now_m + bus_cost,
-                        )
-                        now[miss_idx] = now_m + bus_cost + mem_cost
-                if any_store:
-                    # Write-through: the store drains through the
-                    # buffer; ``now`` only advances on a full-buffer
-                    # stall, while the bus word transaction and the DRAM
-                    # write are timed at the post-stall issue time and
-                    # do not advance ``now``.
-                    sidx = idx[s_sel]
-                    saddr = col_addr[j_i[s_sel]]
-                    dcache.write_idx(sidx, saddr)
-                    store_buffer.prepare_store(sidx, now)
-                    now_s = now[sidx]
-                    store_runs = run_sel[s_sel]
-                    bus_cost = bus.request_idx(rows[s_sel], store_runs, now_s, False)
-                    mem_cost = memory.access_idx(store_runs, saddr, True, now_s)
-                    store_buffer.push(sidx, now_s + bus_cost + mem_cost)
-            # -- cursors: advance the executed superlanes; looping
-            # co-runners wrap from the end of the wrapped region back to
-            # its start.
-            n[idx] += 1
-            j_next = j_i + 1
-            if wrap_at is not None:
-                j_next = np.where(j_next == wrap_at[idx], wrap_to[idx], j_next)
-            j[idx] = j_next
-            alive = n_analysis < analysis_len
-            if all_alive:
-                all_alive = bool(alive.all())
-        return [self._result_for(run) for run in range(runs)]
+                    else:
+                        now[store_lanes] = t_sel[stores]
+                        store_buffer.prepare_store(store_lanes, now)
+                        t_sel[stores] = now[store_lanes]
+                loads = ~stores
+                cost = bus.request_idx(rows[sel], sub_runs, t_sel, loads)
+                done = t_sel + cost
+                done += memory.access_idx(
+                    sub_runs,
+                    addr_of[gid[sel]],
+                    stores,
+                    np.where(stores, t_sel, done),
+                )
+                if stores.any():
+                    store_buffer.push(
+                        store_slots if window else store_lanes, done[stores]
+                    )
+                t[sel] = np.where(stores, t_sel, done)
+            now[lanes] = t
+            q_new = self.ring_clock[slot] + private
+            q[lanes] = q_new
+            position += 1
+            read[lanes] = position
+            order[lanes] = self._next_order(lanes, position, t, q_new)
+            halted = gid == final_gid
+            if halted.any():
+                done_runs = run_sel[halted]
+                t_last[done_runs] = start[halted]
+                alive[done_runs] = False
+                all_alive = False
+        return self._results(t_last)
 
-    def _result_for(self, run: int) -> ConcurrentRunResult:
-        """Scalar-shaped snapshot of one run (halt-point snapshots for
-        co-runners, the full run for the analysis core)."""
+    # -- results ----------------------------------------------------------
+    def _results(self, t_last: Any) -> List[ConcurrentRunResult]:
+        np = _np
         runs = self.runs
-        per_core: Dict[int, RunResult] = {}
-        for index, core_id in enumerate(self.core_ids):
-            lane = index * runs + run
-            table = self.tables[index]
-            n = int(self.n[lane])
-            length = table.length
-            if length > 0:
-                counters = table.totals * (n // length) + table.prefix[n % length]
+        per_core: List[List[RunResult]] = []
+        for stream in self.streams:
+            lanes = stream.row * runs + np.arange(runs)
+            now = self.now[lanes]
+            q = self.q[lanes]
+            length = stream.length
+            if stream is self.analysis:
+                count = np.full(runs, length, dtype=np.int64)
+            elif not self.analysis.length or not length:
+                count = np.zeros(runs, dtype=np.int64)
             else:
-                counters = table.prefix[0]
-            pipeline = PipelineStats(
-                instructions=int(counters[0]),
-                base_cycles=int(counters[1]),
-                branch_bubbles=int(counters[2]),
-                load_use_stalls=int(counters[3]),
-                long_op_stalls=int(counters[4]),
+                done = self._executed(stream)
+                # Executed: every instruction whose (start, core id) key
+                # is below the analysis core's last (T_last, core id).
+                threshold = q + (t_last - now) + (stream.core_id < self.analysis_core)
+                count = np.maximum(done, stream.first_at(threshold, self.width))
+            pen, private = stream.snapshot(count)
+            cycles = now + stream.static_clock(count) + pen - q
+            prefix = stream.tables.prefix
+            if length:
+                passes, local = np.divmod(count, length)
+                counters = passes[:, None] * prefix[length] + prefix[local]
+            else:
+                counters = np.zeros((runs, _STAT_FIELDS), dtype=np.int64)
+            contention = self.bus.waits[lanes]
+            per_core.append(
+                [
+                    RunResult(
+                        cycles=cyc,
+                        instructions=n,
+                        icache=icache,
+                        dcache=dcache,
+                        itlb=itlb,
+                        dtlb=dtlb,
+                        fpu=FpuStats(*row[5:]),
+                        pipeline=PipelineStats(*row[:5]),
+                        core_id=stream.core_id,
+                        bus_contention_cycles=waited,
+                    )
+                    for cyc, n, row, (icache, dcache, itlb, dtlb), waited in zip(
+                        cycles.tolist(),
+                        count.tolist(),
+                        counters.tolist(),
+                        private,
+                        contention.tolist(),
+                    )
+                ]
             )
-            fpu = FpuStats(
-                ops=int(counters[5]),
-                div_ops=int(counters[6]),
-                sqrt_ops=int(counters[7]),
-                total_cycles=int(counters[8]),
+        return [
+            ConcurrentRunResult(
+                analysis_core=self.analysis_core,
+                per_core={
+                    core_id: per_core[row][run]
+                    for row, core_id in enumerate(self.core_ids)
+                },
+                bus=self.bus.stats_for(run),
+                memory=self.memory.stats_for(run, *self.bus.kinds_for(run)),
             )
-            per_core[core_id] = RunResult(
-                cycles=int(self.now[lane]),
-                instructions=n,
-                icache=self.core.icache.stats_for(lane),
-                dcache=self.core.dcache.stats_for(lane),
-                itlb=self.core.itlb.stats_for(lane),
-                dtlb=self.core.dtlb.stats_for(lane),
-                fpu=fpu,
-                pipeline=pipeline,
-                core_id=core_id,
-                bus_contention_cycles=int(self.bus.contention_by_core[index, run]),
-            )
-        return ConcurrentRunResult(
-            analysis_core=self.analysis_core,
-            per_core=per_core,
-            bus=self.bus.stats_for(run),
-            memory=self.memory.stats_for(run),
-        )
+            for run in range(runs)
+        ]
 
 
 def _run_degenerate(

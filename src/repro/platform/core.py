@@ -88,6 +88,11 @@ _STAT_FIELDS = 9
 #: One event of a compiled segment (see :class:`_CompiledSegment`).
 _Event = Tuple[int, int, int, int, int, int, int]
 
+#: Fetch/translation locality: the last ``(line, itlb page, dtlb page)``
+#: a stepper probed (-1 = none yet, a fresh :class:`CoreStepper`).
+_Locality = Tuple[int, int, int]
+_COLD: _Locality = (-1, -1, -1)
+
 
 def _issue_keys(trace: Trace) -> Iterator[_IssueKey]:
     """The cost key of every instruction of ``trace``, in order."""
@@ -158,7 +163,9 @@ class _CompiledSegment:
       its fetch and its data access exactly as the stepper does.
 
     ``tail`` holds the static cycles after the last event; ``pipeline``
-    and ``fpu`` are the segment's pipeline/FPU counter totals.
+    and ``fpu`` are the segment's pipeline/FPU counter totals;
+    ``locality`` is the ``(line, itlb page, dtlb page)`` state at the
+    end of the segment.
     """
 
     events: List[_Event]
@@ -166,12 +173,17 @@ class _CompiledSegment:
     length: int
     pipeline: PipelineStats
     fpu: FpuStats
+    locality: _Locality
 
 
-def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
+def _compile_segment(
+    trace: Trace, core_cfg: CoreConfig, locality: _Locality = _COLD
+) -> _CompiledSegment:
     """Compile ``trace`` into its event list (see :class:`_CompiledSegment`).
 
-    Locality starts cold, matching a fresh :class:`CoreStepper`.  Pure
+    Locality starts at ``locality``: cold by default, matching a fresh
+    :class:`CoreStepper`; a looping stepper's later passes start from
+    the previous pass's end locality.  Pure
     Python: numpy is optional, and without it every campaign runs
     through this compile.  Per-instruction work is C-level iteration
     (key counts, cost lookups, prefix sums, line-change and memory
@@ -200,13 +212,13 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
     dpage_shift = core_cfg.dtlb.page_shift
     memory_kinds = _MEMORY_KINDS
     lines = list(map(rshift, pcs, repeat(core_cfg.icache.line_shift)))
-    fetches = map(ne, lines, chain((-1,), lines))
+    last_iline, last_ipage, last_dpage = locality
+    fetches = map(ne, lines, chain((last_iline,), lines))
     touches = map(memory_kinds.__contains__, kinds)
 
     events: List[_Event] = []
     append = events.append
     done = 0  # charged[] position the emitted events account for
-    last_iline = last_ipage = last_dpage = -1
     for i in compress(count(), map(or_, fetches, touches)):
         fetch_pc = itlb_page = -1
         line = lines[i]
@@ -240,6 +252,7 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
         length=len(kinds),
         pipeline=PipelineStats(*totals[:5]),
         fpu=FpuStats(*totals[5:]),
+        locality=(last_iline, last_ipage, last_dpage),
     )
 
 

@@ -9,8 +9,8 @@ if they realize the same policy.  This module is the single home of that
 policy; the scalar path (:meth:`repro.platform.soc.Platform.run_concurrent`)
 executes it directly via :func:`run_min_time_interleave`, and the
 vectorized engine (:mod:`repro.platform.batch_concurrent`) implements the
-same contract lane-wise with a per-lane argmin (verified bit-identical by
-the concurrent parity suite).
+same contract lane-wise with a per-run minimum over the cores' next bus
+instructions (verified bit-identical by the concurrent parity suite).
 
 Min-time interleave policy
 --------------------------
@@ -26,13 +26,17 @@ Two consequences the engines rely on:
   streams sorted by each instruction's *pre-execution* ``(now, core_id)``
   key.  Instructions whose keys are ordered execute in key order, so the
   sequence of shared-resource accesses (with their issue times) is a
-  pure function of the traces and the seed.
+  pure function of the traces and the seed.  Restricted to the
+  instructions that touch the bus, it is the merge of the per-core
+  bus-instruction streams by the same key: the vectorized engine's
+  shared merge steps only those.
 * The run halts immediately after the analysis core's last instruction;
   a co-runner therefore executes exactly the prefix of its stream whose
   keys are smaller than ``(T_last, analysis_core)``, where ``T_last`` is
   the pre-execution time of that last instruction.  (Any core with a
   smaller key would have been selected first.)  The vectorized engine
-  uses this characterization to reconstruct co-runner halt snapshots.
+  uses this characterization to rebuild co-runner halt snapshots from
+  its private pass.
 """
 
 from __future__ import annotations
