@@ -9,13 +9,13 @@ computation so it is paid once per *trace*: all ``R`` replications
 advance through the trace together, with numpy arrays holding the
 per-run divergent state —
 
-* cache tag stores ``(R·sets, ways)`` (one row per (run, set)) and
-  TLB entry stores ``(R, entries)``,
+* cache tag stores ``(R, sets, ways)`` and TLB entry stores ``(R, 1,
+  entries)``,
 * the per-run LFSR states of the platform PRNG (victim draws advance
   only the lanes that actually miss into a full set, so every run
   consumes exactly the draw sequence the scalar interpreter would),
-* per-run cycle accumulators, the bus busy horizon and the
-  write-through store-buffer ring.
+* per-run cycle accumulators, the bus busy horizon and the ready times
+  of the write-through store buffer.
 
 Everything *trace-pure* — fetch/line/page locality, pipeline hazards,
 FPU latencies — is precompiled once per trace into an event list with
@@ -33,7 +33,7 @@ The hardware models in this module (caches, TLBs, replacement
 policies, bus, DRAM controller, store buffer) serve both vectorized
 engines.  The private components — caches and TLBs — have one access
 form, *broadcast*: one address for every lane, since all lanes of a
-core sit at the same compiled event (placement is memoized per line).
+core sit at the same compiled event (placement is memoized).
 The co-scheduled engine (:mod:`repro.platform.batch_concurrent`) runs
 each core's private components through its events this way too, and
 only the shared bus, DRAM controller and store buffer, whose state
@@ -90,7 +90,7 @@ from .core import (
 from .fpu import FpuStats
 from .memory import MemoryConfig, MemoryStats
 from .pipeline import PipelineStats
-from .prng import CombinedLfsrPrng, Lfsr
+from .prng import CombinedLfsrPrng, Lfsr, SplitMix64, derive_seed
 from .soc import Platform, PlatformConfig
 from .tlb import TlbConfig, TlbStats
 from .trace import Trace
@@ -362,14 +362,15 @@ class _VecPrng:
     gather/scatter form.
     """
 
-    def __init__(self, seeds: Any) -> None:
+    def __init__(self, seeds: Sequence[int]) -> None:
         np = _np
-        seeds = _seed_array(seeds)
-        columns = []
-        for slot, degree in enumerate(CombinedLfsrPrng.DEGREES):
-            # Draw ``slot + 1`` of a SplitMix64 expander seeded per lane.
-            state = _mix(slot + 1, seeds) & np.uint64((1 << degree) - 1)
-            columns.append(np.where(state == 0, 1, state))
+        degrees = CombinedLfsrPrng.DEGREES
+        columns: List[List[int]] = [[] for _ in degrees]
+        for seed in seeds:
+            expander = SplitMix64(seed)
+            for slot, degree in enumerate(degrees):
+                state = expander.next_u64() & ((1 << degree) - 1)
+                columns[slot].append(state if state else 1)
         self._states = np.array(columns, dtype=np.uint32)
 
     def _draw(self, states: Any, nbits: int) -> Tuple[Any, Any]:
@@ -449,10 +450,10 @@ class _VecFastPrng:
 
     _BUFFER = 64
 
-    def __init__(self, seeds: Any) -> None:
+    def __init__(self, seeds: Sequence[int]) -> None:
         np = _np
         runs = len(seeds)
-        self._seeds = _seed_array(seeds)
+        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
         self._rows = np.arange(runs)
         self._count = np.zeros(runs, dtype=np.uint64)
         self._pos = np.zeros(runs, dtype=np.int64)
@@ -527,7 +528,7 @@ class _VecFastPrng:
         return value
 
 
-def _make_vec_prng(prng_mode: str, seeds: Any) -> Any:
+def _make_vec_prng(prng_mode: str, seeds: Sequence[int]) -> Any:
     """Vectorized platform generator lanes for ``prng_mode``."""
     if prng_mode == "fast-parity":
         return _VecFastPrng(seeds)
@@ -548,12 +549,12 @@ class _VecRandomRepl:
         self._prng = prng
         self._ways = num_ways
 
-    def victim_idx(self, rows: Any, lanes: Any) -> Any:
+    def victim_idx(self, sets: Any, lanes: Any) -> Any:
         """Victim ways for the indexed full-set lanes only — consumes one
         draw per listed lane, exactly the scalar consumption."""
         return self._prng.randint_idx(self._ways, lanes)
 
-    def fill_idx(self, rows: Any, way: Any) -> None:
+    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
         return None
 
     touch_idx = fill_idx
@@ -571,59 +572,63 @@ class _VecLruRepl:
 
     needs_touch = True
 
-    def __init__(self, rows: int, num_ways: int) -> None:
+    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
         np = _np
-        self._ts = np.tile(np.arange(num_ways, dtype=np.int64), (rows, 1))
+        self._ts = np.tile(
+            np.arange(num_ways, dtype=np.int64), (lanes, num_sets, 1)
+        )
         self._counter = num_ways
 
-    def victim_idx(self, rows: Any, lanes: Any) -> Any:
-        return self._ts[rows].argmin(axis=1)
+    def victim_idx(self, sets: Any, lanes: Any) -> Any:
+        return self._ts[lanes, sets].argmin(axis=1)
 
-    def fill_idx(self, rows: Any, way: Any) -> None:
-        self._ts[rows, way] = self._counter
+    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
+        self._ts[lanes, sets, way] = self._counter
         self._counter += 1
 
     touch_idx = fill_idx
 
 
 class _VecRoundRobinRepl:
-    """FIFO-like rotation: per-(lane, set) victim pointer."""
+    """FIFO-like rotation: per-lane per-set victim pointer."""
 
     needs_touch = False
 
-    def __init__(self, rows: int, num_ways: int) -> None:
+    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
         np = _np
-        self._ptr = np.zeros(rows, dtype=np.int64)
+        self._ptr = np.zeros((lanes, num_sets), dtype=np.int64)
         self._ways = num_ways
 
-    def victim_idx(self, rows: Any, lanes: Any) -> Any:
-        way = self._ptr[rows]
-        self._ptr[rows] = (way + 1) % self._ways
+    def victim_idx(self, sets: Any, lanes: Any) -> Any:
+        way = self._ptr[lanes, sets]
+        self._ptr[lanes, sets] = (way + 1) % self._ways
         return way
 
-    def fill_idx(self, rows: Any, way: Any) -> None:
+    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
         return None
 
     touch_idx = fill_idx
 
 
 def _make_vec_replacement(
-    name: str, rows: int, num_ways: int, prng: Optional[Any]
+    name: str,
+    lanes: int,
+    num_sets: int,
+    num_ways: int,
+    prng: Optional[Any],
 ) -> Any:
     if name == "random":
         return _VecRandomRepl(prng, num_ways)
     if name == "lru":
-        return _VecLruRepl(rows, num_ways)
+        return _VecLruRepl(lanes, num_sets, num_ways)
     if name == "round_robin":
-        return _VecRoundRobinRepl(rows, num_ways)
+        return _VecRoundRobinRepl(lanes, num_sets, num_ways)
     raise BatchUnsupported(f"replacement {name!r} is not vectorized")
 
 
 def _mix(value: int, seeds_u64: Any) -> Any:
     """Vectorized ``placement._mix`` of one shared int against the
-    per-lane seeds (uint64 arithmetic wraps mod 2**64, as required).
-    ``_mix(k, seeds)`` is also draw ``k`` of a SplitMix64 seeded with
-    ``seeds``."""
+    per-lane seeds (uint64 arithmetic wraps mod 2**64, as required)."""
     np = _np
     z = np.uint64((value * _GOLDEN) & _M64) + seeds_u64
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -631,30 +636,19 @@ def _mix(value: int, seeds_u64: Any) -> Any:
     return z ^ (z >> np.uint64(31))
 
 
-#: Unsigned views that turn a row of 1/2/4/8 match flags into one word.
-_WORD_VIEWS = {2: "uint16", 4: "uint32", 8: "uint64"}
-
-
-def _any_row(matches: Any) -> Any:
-    """``matches.any(axis=1)`` for a C-contiguous bool matrix; rows of 2,
-    4 or 8 flags are tested as one word each, which is much faster."""
-    ways = matches.shape[1]
-    if ways == 1:
-        return matches[:, 0]
-    view = _WORD_VIEWS.get(ways)
-    if view is None:
-        return matches.any(axis=1)
-    return matches.view(view).ravel() != 0
+def _select(sets: Any, sel: Any) -> Any:
+    """``sets[sel]`` for per-lane set indices; a shared int passes through."""
+    return sets if isinstance(sets, int) else sets[sel]
 
 
 class _VecTagStore:
     """Per-lane set-associative tag store with its replacement state.
 
-    The common core of :class:`_VecCache` and :class:`_VecTlb`.  State is
-    kept per *row* — one (lane, set) pair, row ``lane * sets + set`` —
-    so every access is a one-index gather.  Ways fill lowest-first, so
-    the first free way of a set is always its ``valid`` count — the same
-    invariant the scalar ``Cache._allocate`` scan relies on.
+    The common core of :class:`_VecCache` and :class:`_VecTlb`.  Ways
+    fill lowest-first, so the first free way of a set is always its
+    ``valid`` count — the same invariant the scalar ``Cache._allocate``
+    scan relies on.  Set indices are either one int shared by all lanes
+    or one per lane.
     """
 
     def __init__(
@@ -665,53 +659,55 @@ class _VecTagStore:
         seeds: Sequence[int],
         lanes: int,
         prng_mode: str,
-        tag_type: Any,
     ) -> None:
         np = _np
         self.ways = ways
-        self.tags = np.full((lanes * num_sets, ways), -1, dtype=tag_type)
-        self.valid = np.zeros(lanes * num_sets, dtype=np.int64)
+        self._rows = np.arange(lanes)
+        self.tags = np.full((lanes, num_sets, ways), -1, dtype=np.int64)
+        self.valid = np.zeros((lanes, num_sets), dtype=np.int64)
         prng = _make_vec_prng(prng_mode, seeds) if replacement == "random" else None
-        self.repl = _make_vec_replacement(replacement, lanes * num_sets, ways, prng)
+        self.repl = _make_vec_replacement(replacement, lanes, num_sets, ways, prng)
         self._needs_touch = self.repl.needs_touch
         self.evictions = np.zeros(lanes, dtype=np.int64)
         self.evicted: Any = None
 
-    def _probe(self, rows: Any, tag: int) -> Any:
-        """Look ``tag`` up on every lane, in its row ``rows[lane]`` (None:
-        row ``lane``, the one-set case); returns the per-lane hit mask
+    def _probe(self, set_index: Any, tag: int) -> Any:
+        """Look ``tag`` up on every lane; returns the per-lane hit mask
         (replacement touched on the hit lanes)."""
         np = _np
-        ways = self.tags if rows is None else self.tags.take(rows, axis=0)
+        if isinstance(set_index, int):
+            ways = self.tags[:, set_index]
+        else:
+            ways = self.tags[self._rows, set_index]
         matches = ways == tag
-        hit = _any_row(matches)
+        hit = matches.any(axis=1)
         if self._needs_touch:
             lanes = np.flatnonzero(hit)
             self.repl.touch_idx(
-                lanes if rows is None else rows[lanes],
-                matches[lanes].argmax(axis=1),
+                _select(set_index, lanes), matches[lanes].argmax(axis=1), lanes
             )
         return hit
 
-    def _allocate_idx(self, rows: Any, tag: int, lanes: Any) -> None:
-        """Fill ``tag`` into the miss lanes ``lanes``, in their rows
-        ``rows``.  Victim draws happen on the full lanes only, one per
-        lane — the scalar consumption.  ``evicted`` keeps the lanes that
-        evicted (valid until the next allocation)."""
-        way = self.valid[rows]
+    def _allocate_idx(self, sets: Any, tag: int, lanes: Any) -> None:
+        """Fill ``tag`` on the indexed miss lanes (gather/scatter, no
+        store-width temporaries).  Victim draws happen on the full lanes
+        only, one per lane — the scalar consumption.  ``evicted`` keeps
+        the lanes that evicted (valid until the next allocation)."""
+        way = self.valid[lanes, sets]
         full_sel = way >= self.ways
         full_lanes = lanes[full_sel]
         self.evicted = full_lanes
         if full_lanes.size:
-            way[full_sel] = self.repl.victim_idx(rows[full_sel], full_lanes)
+            way[full_sel] = self.repl.victim_idx(_select(sets, full_sel), full_lanes)
             self.evictions[full_lanes] += 1
-            free_rows = rows[~full_sel]
-            if free_rows.size:
-                self.valid[free_rows] += 1
+            free_sel = ~full_sel
+            free_lanes = lanes[free_sel]
+            if free_lanes.size:
+                self.valid[free_lanes, _select(sets, free_sel)] += 1
         else:
-            self.valid[rows] += 1
-        self.tags[rows, way] = tag
-        self.repl.fill_idx(rows, way)
+            self.valid[lanes, sets] += 1
+        self.tags[lanes, sets, way] = tag
+        self.repl.fill_idx(sets, way, lanes)
 
 
 class _VecCache(_VecTagStore):
@@ -728,20 +724,16 @@ class _VecCache(_VecTagStore):
         seeds: Sequence[int],
         lanes: int,
         prng_mode: str = "exact",
-        tag_type: Any = "int64",
     ) -> None:
         np = _np
         super().__init__(
-            cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes, prng_mode,
-            tag_type,
+            cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes, prng_mode
         )
         self.num_sets = cfg.num_sets
         self.line_shift = cfg.line_shift
         self._placement = cfg.placement
-        self._seeds = _seed_array(seeds)
-        self._row_base = np.arange(lanes, dtype=np.int64) * cfg.num_sets
-        self._row_type = np.int16 if lanes * cfg.num_sets <= 1 << 15 else np.int32
-        self._row_memo: Dict[int, Any] = {}
+        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
+        self._set_memo: Dict[int, Any] = {}
         self._allocate_on_write = not cfg.write_through_no_allocate
         # Misses are derived at stats time (accesses - hits): the hot
         # loop keeps one vector accumulate per access, not two.
@@ -751,28 +743,31 @@ class _VecCache(_VecTagStore):
         self.writes = 0
 
     # -- placement -----------------------------------------------------
-    def _rows_of(self, line: int) -> Any:
-        """Per-lane tag-store rows of ``line``.
+    def _set_index(self, line: int) -> Any:
+        """Set index of ``line`` — an int (modulo) or an array over every
+        lane.
 
-        Memoized per line: placement is a pure function of (line, lane
-        seed) for the whole engine lifetime, and traces revisit a small
-        working set of lines many times (narrow rows shrink the memo).
+        Placement is a pure function of (line, lane seed) for the whole
+        engine lifetime, and traces revisit a small working set of lines
+        many times, so the per-lane part is memoized: per line for hash
+        placement, per rotation key (``line // sets``, shared by ``sets``
+        consecutive lines) for random modulo.
         """
         np = _np
-        cached = self._row_memo.get(line)
+        sets = self.num_sets
+        if self._placement == "modulo":
+            return line % sets
+        if self._placement == "random_modulo":
+            key = line // sets
+            rotation = self._set_memo.get(key)
+            if rotation is None:
+                rotation = (_mix(key, self._seeds) % np.uint64(sets)).astype(np.int64)
+                self._set_memo[key] = rotation
+            return (rotation + line % sets) % sets
+        cached = self._set_memo.get(line)
         if cached is None:
-            sets = self.num_sets
-            if self._placement == "modulo":
-                set_index: Any = line % sets
-            elif self._placement == "random_modulo":
-                rotation = _mix(line // sets, self._seeds) % np.uint64(sets)
-                set_index = (line % sets + rotation.astype(np.int64)) % sets
-            else:
-                set_index = (_mix(line, self._seeds) % np.uint64(sets)).astype(
-                    np.int64
-                )
-            cached = (self._row_base + set_index).astype(self._row_type)
-            self._row_memo[line] = cached
+            cached = (_mix(line, self._seeds) % np.uint64(sets)).astype(np.int64)
+            self._set_memo[line] = cached
         return cached
 
     def read(self, byte_address: int) -> Any:
@@ -780,13 +775,13 @@ class _VecCache(_VecTagStore):
         indices."""
         np = _np
         line = byte_address >> self.line_shift
-        rows = self._rows_of(line)
-        hit = self._probe(rows, line)
+        set_index = self._set_index(line)
+        hit = self._probe(set_index, line)
         self.read_hits += hit
         self.reads += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            self._allocate_idx(rows[lanes], line, lanes)
+            self._allocate_idx(_select(set_index, lanes), line, lanes)
         return lanes
 
     def write(self, byte_address: int) -> Any:
@@ -794,13 +789,13 @@ class _VecCache(_VecTagStore):
         miss-lane indices."""
         np = _np
         line = byte_address >> self.line_shift
-        rows = self._rows_of(line)
-        hit = self._probe(rows, line)
+        set_index = self._set_index(line)
+        hit = self._probe(set_index, line)
         self.write_hits += hit
         self.writes += 1
         lanes = np.flatnonzero(~hit)
         if self._allocate_on_write and lanes.size:
-            self._allocate_idx(rows[lanes], line, lanes)
+            self._allocate_idx(_select(set_index, lanes), line, lanes)
         return lanes
 
     def stats_for(self, lane: int) -> CacheStats:
@@ -830,13 +825,10 @@ class _VecTlb(_VecTagStore):
         seeds: Sequence[int],
         lanes: int,
         prng_mode: str = "exact",
-        tag_type: Any = "int64",
     ) -> None:
         np = _np
-        super().__init__(
-            1, cfg.entries, cfg.replacement, seeds, lanes, prng_mode, tag_type
-        )
-        self.penalty = cfg.walk_penalty_cycles
+        super().__init__(1, cfg.entries, cfg.replacement, seeds, lanes, prng_mode)
+        self._penalty = cfg.walk_penalty_cycles
         self.hits = np.zeros(lanes, dtype=np.int64)
         self.lookups = 0
 
@@ -844,13 +836,13 @@ class _VecTlb(_VecTagStore):
         """Vectorized ``Tlb.lookup`` of ``page`` on every lane; returns
         the miss-lane indices."""
         np = _np
-        hit = self._probe(None, page)
+        hit = self._probe(0, page)
         self.hits += hit
         self.lookups += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            self._allocate_idx(lanes, page, lanes)
-            now[lanes] += self.penalty
+            self._allocate_idx(0, page, lanes)
+            now[lanes] += self._penalty
         return lanes
 
     def stats_for(self, lane: int) -> TlbStats:
@@ -991,7 +983,7 @@ class _VecMemory:
         self.cfg = cfg
         self._closed = cfg.page_policy == "closed"
         self._refresh = cfg.refresh_interval_cycles > 0
-        self.constant = self._closed and not self._refresh
+        self._constant = self._closed and not self._refresh
         if not self._closed:
             self.open_rows = np.full((runs, cfg.num_banks), -1, dtype=np.int64)
         self._read_cost = cfg.cas_cycles + cfg.activate_cycles
@@ -1014,7 +1006,7 @@ class _VecMemory:
         cost: Any
         if self._closed:
             cost = self._read_cost + (self._write_cost - self._read_cost) * is_write
-            if self.constant:
+            if self._constant:
                 return cost
         else:
             row_index = addrs // cfg.row_bytes
@@ -1049,7 +1041,7 @@ class _VecMemory:
         ``reads``/``writes`` are the run's accesses, one per bus line or
         word transaction (:meth:`_VecBus.kinds_for`)."""
         total = int(self.total_cycles[run])
-        if self.constant:
+        if self._constant:
             total += reads * self._read_cost + writes * self._write_cost
         return MemoryStats(
             reads=reads,
@@ -1062,79 +1054,21 @@ class _VecMemory:
 
 
 class _VecStoreBuffer:
-    """Per-lane write-through store buffer as a FIFO ring, index form.
+    """Per-lane write-through store buffer, index form.
 
-    The scalar store path drains ready entries *before every store* and
-    then stalls on a still-full buffer.  Draining is observable only
-    through that full check (entry ready times are fixed at push time),
-    so the ring is drained lazily — exactly when a store finds the lane
-    full.  At that moment the set of entries with ``ready <= now``
-    equals the set the scalar path would have popped across its earlier
-    per-store drains (``now`` is monotone per lane), so the post-drain
-    occupancy — and hence the stall decision — is bit-identical.
-    """
-
-    def __init__(self, lanes: int, depth: int) -> None:
-        np = _np
-        self.depth = depth
-        self.ready = np.zeros((lanes, depth), dtype=np.int64)
-        self.head = np.zeros(lanes, dtype=np.int64)
-        self.count = np.zeros(lanes, dtype=np.int64)
-        self._offsets = np.arange(depth)[None, :]
-
-    def prepare_store(self, lanes: Any, now: Any) -> None:
-        """Make room for one entry per indexed lane: lazy drain of full
-        lanes, then the scalar full-buffer stall (``now`` is advanced in
-        place to the oldest entry's ready time on stalled lanes)."""
-        np = _np
-        full = self.count[lanes] >= self.depth
-        if full.any():
-            full_lanes = lanes[full]
-            self._drain(full_lanes, now[full_lanes])
-            still = self.count[full_lanes] >= self.depth
-            if still.any():
-                stalled = full_lanes[still]
-                head = self.head[stalled]
-                now[stalled] = np.maximum(now[stalled], self.ready[stalled, head])
-                self.head[stalled] = (head + 1) % self.depth
-                self.count[stalled] -= 1
-
-    def _drain(self, lanes: Any, now: Any) -> None:
-        """Pop every leading entry already drained at ``now``.
-
-        Gathers each lane's ring in FIFO order and pops the longest
-        ready *prefix* — a ready entry queued behind a stalled one stays
-        buffered, exactly as in the scalar pop-while-ready loop.
-        """
-        np = _np
-        head = self.head[lanes]
-        slots = (head[:, None] + self._offsets) % self.depth
-        fifo = self.ready[lanes[:, None], slots]
-        poppable = (fifo <= now[:, None]) & (
-            self._offsets < self.count[lanes][:, None]
-        )
-        pops = np.logical_and.accumulate(poppable, axis=1).sum(axis=1)
-        self.head[lanes] = (head + pops) % self.depth
-        self.count[lanes] -= pops
-
-    def push(self, lanes: Any, ready_at: Any) -> None:
-        """Append one entry per indexed lane."""
-        tail = (self.head[lanes] + self.count[lanes]) % self.depth
-        self.ready[lanes, tail] = ready_at
-        self.count[lanes] += 1
-
-
-class _VecStoreWindow:
-    """Per-lane write-through store buffer whose entries drain in FIFO
-    order, index form.
-
-    When a lane's entry ready times never decrease — the case with a
-    constant DRAM write latency, since each store's bus transaction ends
-    no earlier than the lane's previous one — the scalar drain pops
-    exactly the entries already ready.  A store then finds the buffer
-    full iff the store ``depth`` back on the lane is still pending, and
-    stalls until that entry's ready time.  So the ready times of the
-    lane's last ``depth`` stores are the whole state.
+    The scalar store path pops every ready entry from the head of the
+    FIFO before each store, then stalls on a still-full buffer until the
+    head drains.  Before store ``k`` the buffer holds at most the
+    ``depth`` stores before it, so it is full iff store ``k - depth`` is
+    still queued — and then that store is the head.  While a lane's
+    clock does not go back, store ``k - depth`` has been popped iff its
+    ready time is at most ``now``: popped at an earlier store, it was
+    ready by that store's (smaller) time; still queued, it is the head,
+    popped now iff ready.  So the ready times of the lane's last
+    ``depth`` stores are the whole state, and a store stalls until the
+    ready time of the store ``depth`` back when that is later than
+    ``now``.  A new segment restarts the clock; :meth:`restart` then
+    marks the entries already popped.
     """
 
     def __init__(self, lanes: int, depth: int) -> None:
@@ -1142,52 +1076,69 @@ class _VecStoreWindow:
         self.depth = depth
         self.ready = np.zeros(lanes * depth, dtype=np.int64)
         self.stores = np.zeros(lanes, dtype=np.int64)
+        # Each lane's last store: its time before the stall, and whether
+        # it stalled (for :meth:`restart`).
+        self.last_now = np.zeros(lanes, dtype=np.int64)
+        self.stalled = np.zeros(lanes, dtype=bool)
 
-    def stall(self, lanes: Any, now: Any) -> Tuple[Any, Any]:
-        """(issue times after the full-buffer stall, ring slots) of one
-        store per indexed lane."""
+    def issue(self, lanes: Any, now: Any) -> Tuple[Any, Any]:
+        """(issue times after the full-buffer stall, buffer slots) of one
+        store per indexed lane at times ``now``."""
         np = _np
         stores = self.stores[lanes]
         self.stores[lanes] = stores + 1
         slots = lanes * self.depth + stores % self.depth
-        return np.maximum(now, self.ready[slots]), slots
+        ready = self.ready[slots]
+        self.last_now[lanes] = now
+        self.stalled[lanes] = ready > now
+        return np.maximum(now, ready), slots
 
     def push(self, slots: Any, ready_at: Any) -> None:
-        """Record the stores' drain times (slots from :meth:`stall`)."""
+        """Record the stores' drain times (slots from :meth:`issue`)."""
         self.ready[slots] = ready_at
 
+    def restart(self) -> None:
+        """Start a segment: every lane's clock restarts at 0, so mark the
+        entries the scalar buffer has popped by now with ready time -1.
+        Those are the stores behind each lane's last one that were ready,
+        in FIFO order, at that store's pre-stall time — none if it
+        stalled, since a stall pops the head only."""
+        np = _np
+        depth = self.depth
+        lanes = len(self.stores)
+        slots = (self.stores[:, None] + np.arange(depth - 1)) % depth + np.arange(
+            0, lanes * depth, depth
+        )[:, None]
+        popped = np.logical_and.accumulate(
+            self.ready[slots] <= self.last_now[:, None], axis=1
+        )
+        popped &= ~self.stalled[:, None]
+        self.ready[slots[popped]] = -1
 
-def _seed_array(seeds: Any) -> Any:
-    """Seeds as a uint64 array (ints are reduced mod 2**64)."""
-    np = _np
-    if isinstance(seeds, np.ndarray):
-        return seeds.astype(np.uint64)
-    return np.array([int(seed) & _M64 for seed in seeds], dtype=np.uint64)
 
-
-def _derive_seeds(seeds: Any, *components: int) -> Any:
-    """Vectorized :func:`~repro.platform.prng.derive_seed` over uint64
-    base seeds (a SplitMix64 chain: one draw per link)."""
-    np = _np
-    value = _mix(1, seeds)
-    for component in components:
-        value = _mix(1, value ^ np.uint64(component & _M64))
-    return value & np.uint64((1 << 63) - 1)
-
-
-def _component_seeds(seeds: Sequence[int], core_id: int) -> List[Any]:
+def _component_seeds(
+    seeds: Sequence[int], core_id: int
+) -> Tuple[List[int], List[int], List[int], List[int]]:
     """Per-lane IL1/DL1/ITLB/DTLB seeds of the scalar reset path — the
     per-core seed, then per-component sub-seeds, so every lane draws the
     scalar streams."""
-    core_seeds = _derive_seeds(_seed_array(seeds), core_id + 101)
-    return [_derive_seeds(core_seeds, core_id, part) for part in range(4)]
+    icache: List[int] = []
+    dcache: List[int] = []
+    itlb: List[int] = []
+    dtlb: List[int] = []
+    for seed in seeds:
+        core_seed = derive_seed(seed, core_id + 101)
+        icache.append(derive_seed(core_seed, core_id, 0))
+        dcache.append(derive_seed(core_seed, core_id, 1))
+        itlb.append(derive_seed(core_seed, core_id, 2))
+        dtlb.append(derive_seed(core_seed, core_id, 3))
+    return icache, dcache, itlb, dtlb
 
 
 class _VecCore:
     """The private components of one core on every lane (one lane per
     run): IL1, DL1, ITLB and DTLB, seeded as :func:`_component_seeds`
-    lays out.  ``tag_type`` narrows the tag stores when every line and
-    page number fits it."""
+    lays out."""
 
     def __init__(
         self,
@@ -1195,14 +1146,13 @@ class _VecCore:
         seeds: Sequence[int],
         core_id: int,
         prng_mode: str,
-        tag_type: Any = "int64",
     ) -> None:
         lanes = len(seeds)
         icache, dcache, itlb, dtlb = _component_seeds(seeds, core_id)
-        self.icache = _VecCache(core_cfg.icache, icache, lanes, prng_mode, tag_type)
-        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes, prng_mode, tag_type)
-        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes, prng_mode, tag_type)
-        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes, prng_mode, tag_type)
+        self.icache = _VecCache(core_cfg.icache, icache, lanes, prng_mode)
+        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes, prng_mode)
+        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes, prng_mode)
+        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes, prng_mode)
 
 
 # ----------------------------------------------------------------------
@@ -1262,6 +1212,7 @@ class _BatchEngine:
         for trace in segments:
             compiled = _compiled_segment(trace, self.core_cfg)
             now = np.zeros(self.runs, dtype=np.int64)
+            store_buffer.restart()
             for (
                 gap,
                 fetch_pc,
@@ -1297,10 +1248,10 @@ class _BatchEngine:
                         now[lanes] = now_m
                 else:
                     dcache.write(addr)
-                    store_buffer.prepare_store(run_ids, now)
+                    now[:], slots = store_buffer.issue(run_ids, now)
                     cost = bus.request_idx(0, every_run, now, False)
                     cost = cost + memory.access_idx(every_run, addr, True, now)
-                    store_buffer.push(run_ids, now + cost)
+                    store_buffer.push(slots, now + cost)
             if compiled.tail:
                 now += compiled.tail
             per_segment.append(now)

@@ -43,10 +43,7 @@ cycles in between, so each global step picks, per run, the core with
 the smallest ``(start of next record, core id)`` — one minimum over the
 cores × runs matrix of keys encoded as ``start << bits | row`` — and
 executes that record's bus, DRAM and store-buffer work.  A run halts
-after its analysis core's last instruction.  With a constant DRAM write
-latency the store buffer drains in FIFO order, so the merge keeps only
-each lane's last ``depth`` drain times
-(:class:`~repro.platform.batch._VecStoreWindow`).
+after its analysis core's last instruction.
 
 Halt snapshots
 --------------
@@ -59,6 +56,12 @@ clock at that record's last bus access), so the executed count follows
 from a search over the private clock.  Cache/TLB counters at that count
 are the pass's final counters minus the flags of the later events;
 pipeline/FPU counters come from per-trace prefix sums.
+
+So a chunk is kept only while some run may still halt inside or before
+it.  Every run's halt count is bounded below — by its last executed
+record, and past it by the instructions that provably start before the
+analysis core's current time (or ``T_last`` once the run halted) — and
+chunks wholly below every run's bound are dropped.
 
 Bit-identity contract
 ---------------------
@@ -75,8 +78,7 @@ single-core engine: nothing consumes the per-run seed, so one scalar
 reference execution is measured and cloned per run.
 
 Unsupported shapes — non-vectorized placement/replacement policies,
-bus grant logging, numpy missing, a private clock beyond 32 bits —
-raise
+bus grant logging, numpy missing — raise
 :class:`~repro.platform.batch.BatchUnsupported`; callers
 (:mod:`repro.api.backend`) fall back to the scalar path under
 ``backend="auto"``.
@@ -98,7 +100,6 @@ from .batch import (
     _VecCore,
     _VecMemory,
     _VecStoreBuffer,
-    _VecStoreWindow,
 )
 from .core import (
     _MK_LOAD,
@@ -160,8 +161,9 @@ _CHUNK_CELLS = 1 << 15
 _CHUNK_EVENTS = 256
 #: Encoded key of a lane with no record to come.
 _NEVER = (1 << 63) - 1
-#: Largest private clock or instruction count a ring record holds.
-_INT32_MAX = (1 << 31) - 1
+#: The ring's integer fields start as int32 and widen to int64 the first
+#: time a record does not fit (a private clock past 2**31 cycles).
+_NARROW_MAX = (1 << 31) - 1
 
 
 @dataclass
@@ -183,9 +185,7 @@ class _TraceTables:
     ``charged[n]`` is the static clock before instruction ``n`` of a
     pass and ``prefix[n]`` the nine pipeline/FPU counters after ``n``
     instructions; both are locality-independent.  ``wrapped`` is the
-    wrapped-pass compile of a looping trace (None otherwise);
-    ``tag_type`` the narrowest tag dtype that holds the trace's line and
-    page numbers.
+    wrapped-pass compile of a looping trace (None otherwise).
     """
 
     length: int
@@ -193,7 +193,6 @@ class _TraceTables:
     prefix: Any
     cold: _Pass
     wrapped: Optional[_Pass]
-    tag_type: Any
 
 
 #: Memoized trace tables (see :func:`~repro.platform.batch._memoized`).
@@ -230,13 +229,6 @@ def _build_tables(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _TraceTa
     prefix = np.zeros((length + 1, _STAT_FIELDS), dtype=np.int64)
     np.cumsum(increments[ids], axis=0, out=prefix[1:])
     cold = _compiled_segment(trace, core_cfg)
-    shift = min(
-        core_cfg.icache.line_shift,
-        core_cfg.dcache.line_shift,
-        core_cfg.itlb.page_shift,
-        core_cfg.dtlb.page_shift,
-    )
-    top = max(max(trace.pcs, default=0), max(trace.addrs, default=0)) >> shift
     wrapped = None
     if looping and length:
         again = _compiled_segment(trace, core_cfg, cold.locality)
@@ -247,7 +239,6 @@ def _build_tables(trace: Trace, core_cfg: CoreConfig, looping: bool) -> _TraceTa
         prefix=prefix,
         cold=_pass_arrays(trace, core_cfg, cold, charged, -1),
         wrapped=wrapped,
-        tag_type=np.int32 if top < _INT32_MAX else np.int64,
     )
 
 
@@ -334,14 +325,16 @@ class _CoreStream:
         self.tables = tables
         self.length = tables.length
         self.total = int(tables.charged[-1])
-        self.core = _VecCore(
-            cfg.core, seeds, core_id, cfg.prng_mode, tables.tag_type
-        )
+        self.core = _VecCore(cfg.core, seeds, core_id, cfg.prng_mode)
         self.ipen = cfg.core.itlb.walk_penalty_cycles
         self.dpen = cfg.core.dtlb.walk_penalty_cycles
         self.pen = np.zeros(runs, dtype=np.int64)
         self.position = 0
         self.chunks: List[_Chunk] = []
+        # One past the last generated event's instruction, and the last
+        # instruction of the dropped chunks.
+        self.end = 0
+        self.released = -1
         self.steady = np.zeros(runs, dtype=bool)
         self.last_record = np.full(runs, -1, dtype=np.int64)
         cold = tables.cold
@@ -443,6 +436,7 @@ class _CoreStream:
             flags=flags,
         )
         self.chunks.append(chunk)
+        self.end = int(chunk.index[-1]) + 1
         return self._records(chunk, gids, pen_before, first)
 
     def _records(
@@ -463,10 +457,6 @@ class _CoreStream:
         run, event = np.nonzero(record.T)
         counts = record.sum(axis=0)
         clock = chunk.start[event] + pen_before[event, run]
-        if clock.size and (
-            int(clock.max()) > _INT32_MAX or int(chunk.index[-1]) >= _INT32_MAX
-        ):
-            raise BatchUnsupported("run too long for the 32-bit record ring")
         has = counts > 0
         if self.wrap_events:
             last = count - 1 - record[::-1].argmax(axis=0)
@@ -487,11 +477,23 @@ class _CoreStream:
         )
 
     # -- halt snapshots -------------------------------------------------
-    def release(self, executed: int) -> None:
-        """Drop the chunks wholly before instruction ``executed - 1``:
-        every run has executed a record past them, and halt snapshots
-        only look at events from a run's last executed record on."""
-        while len(self.chunks) > 1 and self.chunks[0].index[-1] < executed - 1:
+    def floor(self, threshold: Any, done: Any, pending: Any) -> Any:
+        """Per run, a lower bound on the executed count, given that every
+        instruction whose start maps to a private clock below
+        ``threshold`` executes.  ``done`` is the count at the last
+        executed record and ``pending`` the count after the next record;
+        in between, the private clock is at most the static clock plus
+        the walk cycles generated so far."""
+        np = _np
+        reached = self._first_static(threshold - self.pen, 0, self.end)
+        return np.maximum(done, np.minimum(reached, pending))
+
+    def release(self, floor: int) -> None:
+        """Drop the chunks wholly before instruction ``floor`` — a lower
+        bound on every run's halt count — keeping the newest: halt
+        snapshots and :meth:`first_at` look only at later events."""
+        while len(self.chunks) > 1 and self.chunks[0].index[-1] < floor:
+            self.released = int(self.chunks[0].index[-1])
             del self.chunks[0]
 
     def _penalties(self, flags: Any) -> Any:
@@ -519,10 +521,11 @@ class _CoreStream:
             n = np.where(x <= 0, low, high)
         return np.minimum(np.maximum(n, low), high)
 
-    def first_at(self, threshold: Any, width: int) -> Any:
-        """Per run, the first instruction whose private clock (static
-        clock plus the TLB walks of the events before it) is at least
-        ``threshold``."""
+    def first_at(self, threshold: Any, done: Any, pending: Any, width: int) -> Any:
+        """Per run, the executed count: the first instruction from
+        ``done`` on whose private clock (static clock plus the TLB walks
+        of the events before it) is at least ``threshold``.  ``pending``
+        is as in :meth:`floor`."""
         np = _np
         runs = len(threshold)
         while not self.exhausted and self.chunks:
@@ -530,11 +533,12 @@ class _CoreStream:
             clock = last.start[-1] + self.pen - self._penalties(last.flags[-1])
             if (clock >= threshold).all():
                 break
+            self.release(int(self.floor(threshold, done, pending).min()))
             self.generate(width)
         end = self.length if not self.wrap_events else 1 << 62
         found_index = np.full(runs, end, dtype=np.int64)
         found_pen = self.pen.copy()
-        previous = np.full(runs, -1, dtype=np.int64)
+        previous = np.full(runs, self.released, dtype=np.int64)
         open_runs = np.ones(runs, dtype=bool)
         pen_after = self.pen.copy()
         for chunk in reversed(self.chunks):
@@ -559,7 +563,8 @@ class _CoreStream:
             pen_after = pen_after - suffix[0]
             if not open_runs.any():
                 break
-        return self._first_static(threshold - found_pen, previous + 1, found_index)
+        found = self._first_static(threshold - found_pen, previous + 1, found_index)
+        return np.maximum(done, found)
 
     def snapshot(self, count: Any) -> Tuple[Any, List[Tuple[Any, ...]]]:
         """Per run, the TLB walk cycles before instruction ``count`` and
@@ -686,13 +691,7 @@ class _ConcurrentEngine:
         self.bus = _VecBus(cfg.bus, runs, self.core_ids)
         self.memory = _VecMemory(cfg.memory, runs)
         lanes = len(self.core_ids) * runs
-        depth = cfg.core.store_buffer_depth
-        self.window = self.memory.constant
-        self.store_buffer = (
-            _VecStoreWindow(lanes, depth)
-            if self.window
-            else _VecStoreBuffer(lanes, depth)
-        )
+        self.store_buffer = _VecStoreBuffer(lanes, cfg.core.store_buffer_depth)
         self.now = np.zeros(lanes, dtype=np.int64)
         self.q = np.zeros(lanes, dtype=np.int64)
         # Scheduling keys, encoded ``start << bits | row`` so that one
@@ -703,12 +702,14 @@ class _ConcurrentEngine:
         self.read = np.zeros(lanes, dtype=np.int64)
         self.written = np.zeros(lanes, dtype=np.int64)
         self.alive = np.full(runs, self.analysis.length > 0)
-        self.gid_type = np.int32 if len(fetch) > 1 << 16 else np.uint16
+        self.t_last = np.zeros(runs, dtype=np.int64)
+        self.analysis_lanes = self.analysis.row * runs + np.arange(runs)
         # Room for a chunk's records plus the runs' drift, so that the
-        # ring seldom grows.
-        self.capacity = 4 * self.width
+        # ring seldom grows.  Narrow fields keep the ring small: it is the
+        # engine's largest allocation.
+        self.capacity = 3 * self.width
         self.base = np.arange(lanes, dtype=np.int64) * self.capacity
-        self.ring_gid = np.zeros(lanes * self.capacity, dtype=self.gid_type)
+        self.ring_gid = np.zeros(lanes * self.capacity, dtype=np.int32)
         self.ring_clock = np.zeros(lanes * self.capacity, dtype=np.int32)
         self.ring_count = np.zeros(lanes * self.capacity, dtype=np.int32)
         self.ring_flags = np.zeros(lanes * self.capacity, dtype=np.uint8)
@@ -761,6 +762,13 @@ class _ConcurrentEngine:
         needed = int((written - self.read[lanes]).max()) + 1
         if needed > self.capacity:
             self._grow(needed)
+        if (
+            clock.size
+            and self.ring_clock.dtype != np.int64
+            and max(int(clock.max()), int(count.max())) > _NARROW_MAX
+        ):
+            for name in ("ring_gid", "ring_clock", "ring_count"):
+                setattr(self, name, getattr(self, name).astype(np.int64))
         lane = stream.row * self.runs + run
         rank = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
         slot = self.base[lane] + ((self.written[lane] + rank) % self.capacity)
@@ -783,7 +791,7 @@ class _ConcurrentEngine:
                 starving = self.read[mine] >= self.written[mine]
                 if not (starving & waiting & ~stream.steady[mine - row * runs]).any():
                     break
-                stream.release(int(self._executed(stream).min()))
+                stream.release(int(self._floor(stream).min()))
                 self._write(stream, stream.generate(self.width))
 
     def _executed(self, stream: _CoreStream) -> Any:
@@ -793,7 +801,30 @@ class _ConcurrentEngine:
         lanes = stream.row * self.runs + np.arange(self.runs)
         read = self.read[lanes]
         last = self.base[lanes] + (read - 1) % self.capacity
-        return np.where(read > 0, self.ring_count[last], 0).astype(np.int64)
+        return np.where(read > 0, self.ring_count[last], 0)
+
+    def _pending(self, stream: _CoreStream) -> Any:
+        """Per run, the instruction count after the core's next unread
+        record (``_NEVER`` when none is generated yet)."""
+        np = _np
+        lanes = stream.row * self.runs + np.arange(self.runs)
+        read = self.read[lanes]
+        slot = self.base[lanes] + read % self.capacity
+        pending = self.ring_count[slot]
+        return np.where(read < self.written[lanes], pending, np.int64(_NEVER))
+
+    def _floor(self, stream: _CoreStream) -> Any:
+        """Per run, a lower bound on the instructions the core executes
+        before its run halts (see :meth:`_CoreStream.floor`): every
+        instruction that starts before the analysis core's current time
+        — or before ``T_last`` once the run halted — executes."""
+        np = _np
+        if stream is self.analysis:
+            return np.full(self.runs, stream.length)
+        lanes = stream.row * self.runs + np.arange(self.runs)
+        horizon = np.where(self.alive, self.now[self.analysis_lanes], self.t_last)
+        threshold = self.q[lanes] + horizon - self.now[lanes]
+        return stream.floor(threshold, self._executed(stream), self._pending(stream))
 
     def _next_order(self, lanes: Any, position: Any, now: Any, q: Any) -> Any:
         """Encoded start times of the lanes' next records, which sit at
@@ -822,7 +853,6 @@ class _ConcurrentEngine:
         bus = self.bus
         memory = self.memory
         store_buffer = self.store_buffer
-        window = self.window
         fetch_of, addr_of, pre_of = self.fetch_of, self.addr_of, self.pre_of
         ipen_of, private_of = self.ipen_of, self.private_of
         fetch_miss, data_op, is_store = self.fetch_miss, self.data_op, self.is_store
@@ -830,7 +860,7 @@ class _ConcurrentEngine:
         every = np.arange(len(now))
         order[:] = self._next_order(every, read[every], now, q)
         run_ids = np.arange(runs)
-        t_last = np.zeros(runs, dtype=np.int64)
+        t_last = self.t_last
         alive = self.alive
         all_alive = bool(alive.all())
         while True:
@@ -877,15 +907,9 @@ class _ConcurrentEngine:
                 t_sel = t[sel]
                 stores = is_store[flags[sel]]
                 if stores.any():
-                    store_lanes = sub_lanes[stores]
-                    if window:
-                        t_sel[stores], store_slots = store_buffer.stall(
-                            store_lanes, t_sel[stores]
-                        )
-                    else:
-                        now[store_lanes] = t_sel[stores]
-                        store_buffer.prepare_store(store_lanes, now)
-                        t_sel[stores] = now[store_lanes]
+                    t_sel[stores], store_slots = store_buffer.issue(
+                        sub_lanes[stores], t_sel[stores]
+                    )
                 loads = ~stores
                 cost = bus.request_idx(rows[sel], sub_runs, t_sel, loads)
                 done = t_sel + cost
@@ -896,28 +920,29 @@ class _ConcurrentEngine:
                     np.where(stores, t_sel, done),
                 )
                 if stores.any():
-                    store_buffer.push(
-                        store_slots if window else store_lanes, done[stores]
-                    )
+                    store_buffer.push(store_slots, done[stores])
                 t[sel] = np.where(stores, t_sel, done)
             now[lanes] = t
             q_new = self.ring_clock[slot] + private
             q[lanes] = q_new
             position += 1
             read[lanes] = position
-            order[lanes] = self._next_order(lanes, position, t, q_new)
+            # Halt before refilling: chunk release bounds a halted run's
+            # progress by ``T_last``.
             halted = gid == final_gid
             if halted.any():
                 done_runs = run_sel[halted]
                 t_last[done_runs] = start[halted]
                 alive[done_runs] = False
                 all_alive = False
-        return self._results(t_last)
+            order[lanes] = self._next_order(lanes, position, t, q_new)
+        return self._results()
 
     # -- results ----------------------------------------------------------
-    def _results(self, t_last: Any) -> List[ConcurrentRunResult]:
+    def _results(self) -> List[ConcurrentRunResult]:
         np = _np
         runs = self.runs
+        t_last = self.t_last
         per_core: List[List[RunResult]] = []
         for stream in self.streams:
             lanes = stream.row * runs + np.arange(runs)
@@ -933,7 +958,9 @@ class _ConcurrentEngine:
                 # Executed: every instruction whose (start, core id) key
                 # is below the analysis core's last (T_last, core id).
                 threshold = q + (t_last - now) + (stream.core_id < self.analysis_core)
-                count = np.maximum(done, stream.first_at(threshold, self.width))
+                count = stream.first_at(
+                    threshold, done, self._pending(stream), self.width
+                )
             pen, private = stream.snapshot(count)
             cycles = now + stream.static_clock(count) + pen - q
             prefix = stream.tables.prefix

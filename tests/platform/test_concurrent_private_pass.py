@@ -248,3 +248,41 @@ def test_small_chunks_match_scalar(monkeypatch, opponent):
     traces = {0: build_trace(12, 500, data_span=400),
               **{core: opponent(70, 50 + core, core) for core in (1, 2, 3)}}
     assert_matches_scalar(lambda: leon3_rand(cache_kb=1), traces, SEEDS)
+
+
+@pytest.mark.parametrize("opponent", [cpu_burn_trace, memory_hammer_trace])
+def test_chunks_released_past_steady_co_runners(monkeypatch, opponent):
+    """A co-runner whose runs stop issuing bus requests keeps no chunk
+    history: kept chunks stay few however long the analysis runs."""
+    monkeypatch.setattr(concurrent_mod, "_CHUNK_CELLS", 1)
+    generate = concurrent_mod._CoreStream.generate
+    kept = []
+
+    def counting(stream, width):
+        records = generate(stream, width)
+        kept.append(len(stream.chunks))
+        return records
+
+    monkeypatch.setattr(concurrent_mod._CoreStream, "generate", counting)
+    traces = {0: build_trace(13, 6000, data_span=300),
+              **{core: opponent(60, 70 + core, core) for core in (1, 2, 3)}}
+    assert_matches_scalar(lambda: leon3_rand(cache_kb=4), traces, SEEDS)
+    assert len(kept) > 100
+    assert max(kept) <= 8
+
+
+def test_ring_widens_past_narrow_clocks(monkeypatch):
+    """Records whose private clock outgrows the ring's narrow fields
+    widen the ring instead of wrapping or refusing the run."""
+    monkeypatch.setattr(concurrent_mod, "_NARROW_MAX", 500)
+    run = concurrent_mod._ConcurrentEngine.run
+    engines = []
+
+    def recording(engine):
+        engines.append(engine)
+        return run(engine)
+
+    monkeypatch.setattr(concurrent_mod._ConcurrentEngine, "run", recording)
+    traces = {0: build_trace(14, 400, data_span=300), **_hammers(3)}
+    assert_matches_scalar(lambda: leon3_rand(cache_kb=1), traces, SEEDS)
+    assert engines[0].ring_clock.dtype.itemsize == 8
