@@ -9,6 +9,8 @@ premise on the scalar platform itself; the remaining tests pin merge
 edge cases against the scalar interleave, and the bus's request forms.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from repro.workloads.opponents import (
 )
 
 from test_batch_backend import build_trace
+from test_concurrent_batch import build_scenario, concurrent_cases
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="vectorized backend requires numpy"
@@ -286,3 +289,24 @@ def test_ring_widens_past_narrow_clocks(monkeypatch):
     traces = {0: build_trace(14, 400, data_span=300), **_hammers(3)}
     assert_matches_scalar(lambda: leon3_rand(cache_kb=1), traces, SEEDS)
     assert engines[0].ring_clock.dtype.itemsize == 8
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=concurrent_cases(),
+    trace_seed=st.integers(min_value=0, max_value=2**32),
+    base_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_small_chunks_over_config_space(case, trace_seed, base_seed):
+    """Minimal chunks across the config space: chunk release and halt
+    snapshots from kept chunks only, for every opponent and policy."""
+    config, analysis_core, opponent, loop = case
+    traces = build_scenario(
+        config.num_cores, opponent, analysis_core=analysis_core,
+        length=300, opponent_length=120, trace_seed=trace_seed,
+    )
+    seeds = [base_seed + 13 * i for i in range(5)]
+    with mock.patch.object(concurrent_mod, "_CHUNK_CELLS", 1):
+        assert_matches_scalar(
+            lambda: Platform(config), traces, seeds, analysis_core, loop
+        )
