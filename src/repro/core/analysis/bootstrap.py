@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from ..evt.gev import fit_lmoments
 from ..evt.gpd import fit_pwm as gpd_fit_pwm
@@ -209,6 +208,8 @@ def _batch_gev_lmoments(
     samples: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :func:`repro.core.evt.gev.fit_lmoments` over R rows."""
+    from scipy.special import gamma as gamma_fn
+
     ordered = np.sort(samples, axis=1)
     m = ordered.shape[1]
     i = np.arange(m, dtype=float)

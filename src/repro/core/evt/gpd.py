@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.optimize import minimize
-
 __all__ = ["GpdDistribution", "fit_pwm", "fit_mle", "mean_excess"]
 
 
@@ -125,6 +123,8 @@ def fit_pwm(excesses: Sequence[float]) -> GpdDistribution:
 
 def fit_mle(excesses: Sequence[float]) -> GpdDistribution:
     """Maximum-likelihood GPD fit (Nelder-Mead seeded by PWM)."""
+    from scipy.optimize import minimize
+
     n = len(excesses)
     if n < 5:
         raise ValueError("GPD MLE needs at least 5 excesses")

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.stats import chi2
-
 from .autocorrelation import acf
 
 __all__ = ["PortmanteauResult", "ljung_box_test", "box_pierce_test", "default_lags"]
@@ -56,6 +54,8 @@ def ljung_box_test(
     values: Sequence[float], lags: int = 0
 ) -> PortmanteauResult:
     """Ljung-Box test of the null "independent observations"."""
+    from scipy.special import chdtrc
+
     n = len(values)
     if n < 8:
         raise ValueError("Ljung-Box needs at least 8 observations")
@@ -67,7 +67,9 @@ def ljung_box_test(
     for k, r in enumerate(correlations, start=1):
         statistic += r * r / (n - k)
     statistic *= n * (n + 2.0)
-    p_value = float(chi2.sf(statistic, df=m))
+    # chdtrc is the routine scipy.stats.chi2.sf calls; the two differ
+    # only for a negative statistic, and a sum of squares is >= 0.
+    p_value = float(chdtrc(m, statistic))
     return PortmanteauResult(
         statistic=statistic, p_value=p_value, lags=m, n=n, name="ljung-box"
     )
@@ -77,6 +79,8 @@ def box_pierce_test(
     values: Sequence[float], lags: int = 0
 ) -> PortmanteauResult:
     """Box-Pierce test (Ljung-Box without the small-sample correction)."""
+    from scipy.special import chdtrc
+
     n = len(values)
     if n < 8:
         raise ValueError("Box-Pierce needs at least 8 observations")
@@ -85,7 +89,9 @@ def box_pierce_test(
         raise ValueError("lags must be < number of observations")
     correlations = acf(values, m)
     statistic = n * math.fsum(r * r for r in correlations)
-    p_value = float(chi2.sf(statistic, df=m))
+    # chdtrc is the routine scipy.stats.chi2.sf calls; the two differ
+    # only for a negative statistic, and a sum of squares is >= 0.
+    p_value = float(chdtrc(m, statistic))
     return PortmanteauResult(
         statistic=statistic, p_value=p_value, lags=m, n=n, name="box-pierce"
     )
