@@ -169,7 +169,7 @@ def _gev_sampler(
         y = -np.log(u)
         if abs(shape) < 1e-12:
             return loc - scale * np.log(y)
-        return loc + scale * (y ** (-shape) - 1.0) / shape
+        return loc + scale * np.expm1(-shape * np.log(y)) / shape
 
     return sample
 
@@ -181,7 +181,7 @@ def _gpd_sampler(
         # isf(u): excess exceeded with probability u.
         if abs(shape) < 1e-12:
             return -scale * np.log(u)
-        return scale * (u ** (-shape) - 1.0) / shape
+        return scale * np.expm1(-shape * np.log(u)) / shape
 
     return sample
 
@@ -292,7 +292,7 @@ def _block_maxima_quantiles(
     gumbel = loc_c - scale_c * np.log(y)
     with np.errstate(over="ignore", invalid="ignore"):
         shape_safe = np.where(np.abs(shape_c) < 1e-12, 1.0, shape_c)
-        general = loc_c + scale_c * (y ** (-shape_safe) - 1.0) / shape_safe
+        general = loc_c + scale_c * np.expm1(-shape_safe * np.log(y)) / shape_safe
     return np.where(np.abs(shape_c) < 1e-12, gumbel, general)
 
 
@@ -311,7 +311,9 @@ def _pot_quantiles(
     exponential = threshold - scale_c * np.log(q)
     with np.errstate(over="ignore", invalid="ignore"):
         shape_safe = np.where(np.abs(shape_c) < 1e-12, 1.0, shape_c)
-        general = threshold + scale_c * (q ** (-shape_safe) - 1.0) / shape_safe
+        general = (
+            threshold + scale_c * np.expm1(-shape_safe * np.log(q)) / shape_safe
+        )
     out = np.where(np.abs(shape_c) < 1e-12, exponential, general)
     # Shallower than the threshold's empirical rate: clamp (PotTail).
     return np.where(cutoffs[None, :] >= exceedance_rate, threshold, out)

@@ -53,6 +53,10 @@ class GevDistribution:
             return True
         return 1.0 + self.shape * self._z(x) > 0.0
 
+    # The shape terms are written as exp(-log1p(xi z) / xi) and
+    # expm1(-xi log y) / xi, not t ** (-1 / xi) and (y ** -xi - 1) / xi:
+    # the power forms cancel catastrophically for |xi| just above the
+    # 1e-12 Gumbel switch.
     def cdf(self, x: float) -> float:
         """P(X <= x)."""
         xi = self.shape
@@ -64,7 +68,7 @@ class GevDistribution:
         t = 1.0 + xi * z
         if t <= 0.0:
             return 0.0 if xi > 0 else 1.0
-        return math.exp(-(t ** (-1.0 / xi)))
+        return math.exp(-math.exp(-math.log1p(xi * z) / xi))
 
     def sf(self, x: float) -> float:
         """P(X > x), stable in the deep tail."""
@@ -77,7 +81,7 @@ class GevDistribution:
         t = 1.0 + xi * z
         if t <= 0.0:
             return 1.0 if xi > 0 else 0.0
-        return -math.expm1(-(t ** (-1.0 / xi)))
+        return -math.expm1(-math.exp(-math.log1p(xi * z) / xi))
 
     def pdf(self, x: float) -> float:
         """Density."""
@@ -88,7 +92,8 @@ class GevDistribution:
         t = 1.0 + xi * z
         if t <= 0.0:
             return 0.0
-        return (t ** (-1.0 / xi - 1.0)) * math.exp(-(t ** (-1.0 / xi))) / self.scale
+        s = math.exp(-math.log1p(xi * z) / xi)
+        return math.exp(-s) * s / t / self.scale
 
     def logpdf(self, x: float) -> float:
         """Log density (-inf outside the support)."""
@@ -105,7 +110,7 @@ class GevDistribution:
         y = -math.log(q)
         if abs(xi) < 1e-12:
             return self.location - self.scale * math.log(y)
-        return self.location + self.scale * (y ** (-xi) - 1.0) / xi
+        return self.location + self.scale * math.expm1(-xi * math.log(y)) / xi
 
     def isf(self, p: float) -> float:
         """Inverse survival (stable for the tiny p of pWCET cutoffs)."""
@@ -115,7 +120,7 @@ class GevDistribution:
         y = -math.log1p(-p)
         if abs(xi) < 1e-12:
             return self.location - self.scale * math.log(y)
-        return self.location + self.scale * (y ** (-xi) - 1.0) / xi
+        return self.location + self.scale * math.expm1(-xi * math.log(y)) / xi
 
     @property
     def upper_endpoint(self) -> float:

@@ -38,6 +38,8 @@ class GpdDistribution:
             return -self.scale / self.shape
         return math.inf
 
+    # exp(-log1p(.) / xi) and expm1(.) / xi stay accurate for tiny |xi|,
+    # where the power forms of sf/pdf/isf cancel (see GevDistribution).
     def sf(self, y: float) -> float:
         """P(Y > y) for an excess ``y``."""
         if y <= 0.0:
@@ -48,7 +50,7 @@ class GpdDistribution:
         t = 1.0 + xi * y / self.scale
         if t <= 0.0:
             return 0.0
-        return t ** (-1.0 / xi)
+        return math.exp(-math.log1p(xi * y / self.scale) / xi)
 
     def cdf(self, y: float) -> float:
         """P(Y <= y)."""
@@ -64,7 +66,7 @@ class GpdDistribution:
         t = 1.0 + xi * y / self.scale
         if t <= 0.0:
             return 0.0
-        return (t ** (-1.0 / xi - 1.0)) / self.scale
+        return math.exp(-math.log1p(xi * y / self.scale) / xi) / t / self.scale
 
     def logpdf(self, y: float) -> float:
         """Log density (-inf outside the support)."""
@@ -80,7 +82,7 @@ class GpdDistribution:
         xi = self.shape
         if abs(xi) < 1e-12:
             return -self.scale * math.log(p)
-        return self.scale * (p ** (-xi) - 1.0) / xi
+        return self.scale * math.expm1(-xi * math.log(p)) / xi
 
     def ppf(self, q: float) -> float:
         """Quantile: excess level with CDF = q (enables QQ diagnostics)."""

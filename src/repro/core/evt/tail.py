@@ -76,7 +76,7 @@ class BlockMaximaTail(FittedTail):
                 t = 1.0 + xi * z
                 if t <= 0.0:
                     return 1.0 if xi > 0 else 0.0
-                log_g = -(t ** (-1.0 / xi))
+                log_g = -math.exp(-math.log1p(xi * z) / xi)
         return -math.expm1(log_g / b)
 
     def quantile(self, p: float) -> float:
@@ -94,7 +94,7 @@ class BlockMaximaTail(FittedTail):
         xi = dist.shape
         if abs(xi) < 1e-12:
             return dist.location - dist.scale * math.log(-log_qb)
-        return dist.location + dist.scale * ((-log_qb) ** (-xi) - 1.0) / xi
+        return dist.location + dist.scale * math.expm1(-xi * math.log(-log_qb)) / xi
 
     @property
     def description(self) -> str:
