@@ -311,9 +311,7 @@ def _pot_quantiles(
     exponential = threshold - scale_c * np.log(q)
     with np.errstate(over="ignore", invalid="ignore"):
         shape_safe = np.where(np.abs(shape_c) < 1e-12, 1.0, shape_c)
-        general = (
-            threshold + scale_c * np.expm1(-shape_safe * np.log(q)) / shape_safe
-        )
+        general = threshold + scale_c * np.expm1(-shape_safe * np.log(q)) / shape_safe
     out = np.where(np.abs(shape_c) < 1e-12, exponential, general)
     # Shallower than the threshold's empirical rate: clamp (PotTail).
     return np.where(cutoffs[None, :] >= exceedance_rate, threshold, out)

@@ -230,6 +230,7 @@ def shape_likelihood_ratio_test(
     argument for using the light-tailed member.
     """
     from scipy.special import chdtrc
+
     gev = fit_mle(values)
     gumbel = gumbel_fit_mle(values)
     ll_gev = gev.loglikelihood(values)
