@@ -17,7 +17,8 @@ MBPTA to work with) and mean misses.
 
 import statistics
 
-from repro.harness import CampaignConfig, MeasurementCampaign
+from repro.api import CampaignRunner, ProgramWorkload
+from repro.harness import CampaignConfig
 from repro.platform import leon3_det, leon3_rand
 from repro.programs.layout import link
 from repro.workloads.kernels import strided_access_kernel
@@ -30,8 +31,8 @@ RUNS = 120
 def run_policy(platform):
     prog = strided_access_kernel(stride_elements=16, accesses=256, elements=8192)
     image = link(prog)
-    campaign = MeasurementCampaign(CampaignConfig(runs=RUNS, base_seed=99))
-    result = campaign.run_program(platform, prog, image)
+    runner = CampaignRunner(CampaignConfig(runs=RUNS, base_seed=99))
+    result = runner.run(ProgramWorkload(prog, image), platform)
     values = result.merged.values
     return {
         "mean": statistics.mean(values),

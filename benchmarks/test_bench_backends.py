@@ -15,13 +15,6 @@ Measures campaign runs/sec under ``backend="scalar"`` and
   platform), the ``repro contend`` shape.  The concurrent batch engine
   advances every replication's min-``(now, core_id)`` interleave in
   lockstep.
-* ``fig2_fast_parity`` — the Figure-2 campaign under
-  ``prng_mode="fast-parity"``.  Honest expectation management: the PRNG
-  is a small slice of engine wall-clock, so the campaign-level gain over
-  exact mode is modest (~1.04x) and this row's gated metric stays the
-  batch-vs-scalar speedup; the 3x fast-parity draw-rate floor is
-  enforced where it is measurable, in ``BENCH_prng``
-  (``test_bench_prng.py``).
 
 All campaigns fix the workload inputs (``vary_inputs=False``): platform
 randomization — the axis MBPTA analyses — is exactly the variation
@@ -86,16 +79,6 @@ def _tvca(platform_name):
     return TvcaWorkload(config=APP_CONFIG), platform, "tvca", BACKEND_RUNS
 
 
-def _tvca_fast_parity(platform_name):
-    platform = create_platform(
-        platform_name,
-        num_cores=1,
-        cache_kb=CACHE_KB,
-        prng_mode="fast-parity",
-    )
-    return TvcaWorkload(config=APP_CONFIG), platform, "tvca", BACKEND_RUNS
-
-
 def _contention(platform_name):
     platform = create_platform(platform_name, num_cores=4, cache_kb=4)
     scenario = create_scenario(
@@ -107,7 +90,6 @@ def _contention(platform_name):
 
 CAMPAIGNS = (
     ("fig2_pwcet_rand", "rand", _tvca),
-    ("fig2_fast_parity", "rand", _tvca_fast_parity),
     ("fig3_det_baseline", "det", _tvca),
     ("contention_rand", "rand", _contention),
 )

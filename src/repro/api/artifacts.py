@@ -184,7 +184,7 @@ def platform_fingerprint(platform: Platform) -> Dict[str, Any]:
             "replacement": c.replacement,
         }
 
-    fingerprint = {
+    return {
         "name": cfg.name,
         "num_cores": cfg.num_cores,
         "is_randomized": cfg.is_randomized,
@@ -194,13 +194,6 @@ def platform_fingerprint(platform: Platform) -> Dict[str, Any]:
         "dtlb": {"entries": core.dtlb.entries, "replacement": core.dtlb.replacement},
         "fpu_mode": core.fpu.mode.value,
     }
-    if cfg.prng_mode != "exact":
-        # Measurement-determining: a non-default draw mode changes the
-        # observed cycle counts, so it must split the fingerprint (and
-        # with it every execution digest).  Emitted conditionally so
-        # all pre-existing exact-mode fingerprints stay byte-stable.
-        fingerprint["prng_mode"] = cfg.prng_mode
-    return fingerprint
 
 
 @dataclass
@@ -241,12 +234,6 @@ class CampaignArtifact:
             # Provenance only: scalar and batch backends are
             # bit-identical, so records/samples never depend on it.
             config_dict["backend"] = result.backend
-        prng_mode = getattr(result, "prng_mode", None)
-        if prng_mode is not None and prng_mode != "exact":
-            # Measurement-determining (cf. the platform fingerprint):
-            # recorded only when non-default so every pre-existing
-            # exact-mode artifact stays byte-identical.
-            config_dict["prng_mode"] = prng_mode
         if config is not None:
             config_dict.update(
                 runs=config.runs,

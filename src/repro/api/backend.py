@@ -230,11 +230,7 @@ def execute_one(
     """Execute run ``run_index`` through the scalar interpreter."""
     run_seed = config.platform_seed(run_index)
     input_seed = config.input_seed(run_index)
-    execute_indexed = getattr(workload, "execute_indexed", None)
-    if execute_indexed is not None:
-        obs = execute_indexed(platform, run_index, run_seed, input_seed)
-    else:
-        obs = workload.execute(platform, run_seed, input_seed)
+    obs = workload.execute(platform, run_seed, input_seed)
     return RunRecord(
         index=run_index,
         cycles=float(obs.cycles),

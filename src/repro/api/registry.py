@@ -156,13 +156,11 @@ def registry_schema() -> Dict[str, Any]:
     can validate workload/platform/scenario/estimator names before
     submitting a :class:`~repro.api.requests.CampaignRequest`.
     """
-    from ..platform.prng import PRNG_MODES
     from .backend import BACKENDS
 
     return {
         "schema": REGISTRY_SCHEMA,
         "backends": list(BACKENDS),
-        "prng_modes": list(PRNG_MODES),
         "estimators": [
             {"name": name, "description": estimator_description(name)}
             for name in estimator_names()

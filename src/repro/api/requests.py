@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..core.convergence import ConvergencePolicy
 from ..harness.campaign import CampaignConfig, CampaignResult
-from ..platform.prng import validate_prng_mode
 from ..platform.soc import Platform
 from .backend import validate_backend
 from .registry import (
@@ -216,7 +215,6 @@ class CampaignRequest:
     scenario: Optional[str] = None
     shards: int = 1
     backend: str = "auto"
-    prng_mode: str = "exact"
     workload_kwargs: Dict[str, Any] = field(default_factory=dict)
     platform_kwargs: Dict[str, Any] = field(default_factory=dict)
     convergence: Optional[ConvergencePolicy] = None
@@ -241,7 +239,6 @@ class CampaignRequest:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         validate_backend(self.backend)
-        validate_prng_mode(self.prng_mode)
         object.__setattr__(
             self,
             "workload_kwargs",
@@ -280,9 +277,8 @@ class CampaignRequest:
         return workload
 
     def build_platform(self) -> Platform:
-        """Instantiate the platform (under the requested PRNG mode)."""
-        platform = create_platform(self.platform, **self.platform_kwargs)
-        return platform.with_prng_mode(self.prng_mode)
+        """Instantiate the platform."""
+        return create_platform(self.platform, **self.platform_kwargs)
 
     # -- content addressing --------------------------------------------
     def digest(self) -> str:
@@ -293,12 +289,10 @@ class CampaignRequest:
         """Hash of exactly the fields that determine the observations.
 
         Covers (workload name + kwargs, scenario, the built platform's
-        fingerprint — which includes ``prng_mode``, a
-        measurement-determining knob — run budget, seeds, input
-        variation, convergence policy).  Excludes ``shards``/``backend``
-        — both are proven observation-neutral (deterministic by-index
-        merge; bit-identical batch engine) — and ``analysis``, which is
-        post-processing.
+        fingerprint, run budget, seeds, input variation, convergence
+        policy).  Excludes ``shards``/``backend`` — both are proven
+        observation-neutral (deterministic by-index merge; bit-identical
+        batch engine) — and ``analysis``, which is post-processing.
         Two requests with equal digests must produce bit-identical
         measurement records, so the campaign service uses this as the
         key of its cross-process artifact/trace cache.
@@ -338,7 +332,6 @@ class CampaignRequest:
             ),
             "platform": self.platform,
             "platform_kwargs": dict(self.platform_kwargs),
-            "prng_mode": self.prng_mode,
             "runs": self.runs,
             "scenario": self.scenario,
             "schema": CAMPAIGN_REQUEST_SCHEMA,
@@ -365,6 +358,14 @@ class CampaignRequest:
             )
         convergence = data.pop("convergence", None)
         analysis = data.pop("analysis", None)
+        # Requests written before the draw-mode option was removed name
+        # the exact mode, which is what every campaign still measures.
+        mode = data.pop("prng_mode", "exact")
+        if mode != "exact":
+            raise ValueError(
+                f"prng_mode {mode!r} is not supported: the draw mode was "
+                "removed and every campaign uses the modelled LFSR generator"
+            )
         known = frozenset(f.name for f in fields(cls))
         _reject_unknown("CampaignRequest", data, known)
         return cls(

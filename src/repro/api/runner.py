@@ -383,7 +383,6 @@ class CampaignRunner:
             runs_requested=cfg.runs if convergence is not None else None,
             convergence=summary,
             backend=backend,
-            prng_mode=platform.config.prng_mode,
         )
 
     # ------------------------------------------------------------------

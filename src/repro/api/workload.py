@@ -14,8 +14,7 @@ reset inside the run), campaigns can be sharded across processes and
 merged by run index without changing a single observation — the property
 :class:`repro.api.runner.CampaignRunner` builds on.
 
-Three adapters cover the existing workload families and replace the
-duplicated ``run_tvca``/``run_program`` drivers of the old harness.
+Three adapters cover the existing workload families.
 
 Workloads whose run is a single instruction trace additionally implement
 the optional ``build_trace(platform, run_seed, input_seed) ->
@@ -142,13 +141,6 @@ class Workload(Protocol):
     That purity is also what adaptive campaigns rely on: the stopping
     rule consumes observations in run-index order, so an early-stopped
     campaign's records are exactly a prefix of the fixed-budget ones.
-
-    Optional hook: ``execute_indexed(platform, run_index, run_seed,
-    input_seed)``.  When present, :class:`repro.api.runner.CampaignRunner`
-    calls it instead of ``execute`` and passes the run index through —
-    for legacy index-keyed input schemes.  The same purity rule applies
-    with the index included: the index (unlike execution order) is
-    stable across sharding, so the contract stays shard-deterministic.
 
     Optional hook: ``build_trace(platform, run_seed, input_seed) ->
     PreparedTrace``.  Workloads whose run is one instruction trace
@@ -335,17 +327,16 @@ class ProgramWorkload:
         if self.image is None:
             self.image = link(self.program)
 
-    def _prepared(self, input_seed: int, cache_key: Any = None) -> PreparedTrace:
-        """The run's trace, memoized by its generating key.
+    def _cache_key(self, input_seed: int) -> Any:
+        return input_seed if self.env_fn is not None else "<static>"
 
-        ``cache_key`` overrides the default key (the input seed, or a
-        constant when no ``env_fn`` makes the trace seed-independent) —
-        the legacy index-keyed adapter passes its run index.
-        """
+    def _prepared(self, input_seed: int) -> PreparedTrace:
+        """The run's trace, memoized by its generating key (the input
+        seed, or a constant when no ``env_fn`` makes the trace
+        seed-independent)."""
         if self.image is None:
             self.image = link(self.program)
-        if cache_key is None:
-            cache_key = input_seed if self.env_fn is not None else "<static>"
+        cache_key = self._cache_key(input_seed)
         prepared = self._trace_cache.get(cache_key)
         if prepared is None:
             env = self.env_fn(input_seed) if self.env_fn is not None else {}
@@ -360,15 +351,20 @@ class ProgramWorkload:
         """The run's trace (for contention scenarios); memoized."""
         return self._prepared(input_seed)
 
-    def batch_plan_for(
-        self, prepared: PreparedTrace, group_key: Any
-    ) -> BatchPlan:
-        """A single-segment :class:`BatchPlan` measuring ``prepared``.
+    def plan_batch(
+        self, platform: Platform, run_index: int, run_seed: int, input_seed: int
+    ) -> Optional[BatchPlan]:
+        """The run as one batchable trace segment.
 
-        ``finalize`` reproduces :meth:`_observe` exactly — cycles are
-        the run's end-to-end count, metadata carries the instruction
-        count — so the batch and scalar paths emit equal records.
+        Programs without an ``env_fn`` have a seed-independent trace, so
+        every run of the campaign lands in one batch group; seed-keyed
+        environments group by input seed (``vary_inputs=False`` then
+        still yields a single group).  ``finalize`` reproduces
+        :meth:`execute` exactly — cycles are the run's end-to-end count,
+        metadata carries the instruction count — so the batch and scalar
+        paths emit equal records.
         """
+        prepared = self._prepared(input_seed)
 
         def finalize(measurement: BatchMeasurement) -> RunObservation:
             return RunObservation(
@@ -379,42 +375,21 @@ class ProgramWorkload:
 
         return BatchPlan(
             segments=(prepared.trace,),
-            group_key=group_key,
+            group_key=(self.name, self.core_id, self._cache_key(input_seed)),
             finalize=finalize,
             core_id=self.core_id,
         )
 
-    def plan_batch(
-        self, platform: Platform, run_index: int, run_seed: int, input_seed: int
-    ) -> Optional[BatchPlan]:
-        """The run as one batchable trace segment.
-
-        Programs without an ``env_fn`` have a seed-independent trace, so
-        every run of the campaign lands in one batch group; seed-keyed
-        environments group by input seed (``vary_inputs=False`` then
-        still yields a single group).
-        """
-        prepared = self._prepared(input_seed)
-        cache_key = input_seed if self.env_fn is not None else "<static>"
-        return self.batch_plan_for(
-            prepared, (self.name, self.core_id, cache_key)
-        )
-
-    def _observe(
-        self, platform: Platform, prepared: PreparedTrace, run_seed: int
+    def execute(
+        self, platform: Platform, run_seed: int, input_seed: int
     ) -> RunObservation:
-        """Measure ``prepared`` once (shared with the indexed adapter)."""
+        prepared = self._prepared(input_seed)
         result = platform.run(prepared.trace, seed=run_seed, core_id=self.core_id)
         return RunObservation(
             cycles=float(result.cycles),
             path=prepared.path,
             metadata={"instructions": result.instructions},
         )
-
-    def execute(
-        self, platform: Platform, run_seed: int, input_seed: int
-    ) -> RunObservation:
-        return self._observe(platform, self._prepared(input_seed), run_seed)
 
 
 class SyntheticWorkload:

@@ -91,7 +91,6 @@ from .api import (
     workload_names,
 )
 from .api.artifacts import atomic_write_text
-from .platform.prng import PRNG_MODES
 from .core import (
     AnalysisConfig,
     AnalysisPipeline,
@@ -157,7 +156,6 @@ def _campaign_request(
         scenario=getattr(args, "co_runner", None),
         shards=getattr(args, "shards", 1),
         backend=getattr(args, "backend", "auto"),
-        prng_mode=getattr(args, "prng_mode", "exact"),
         workload_kwargs=_workload_kwargs(args),
         platform_kwargs=_platform_kwargs(args),
         convergence=_policy(args),
@@ -468,9 +466,6 @@ def cmd_list(args: argparse.Namespace) -> int:
         description = estimator_description(name)
         suffix = f" — {description}" if description else ""
         print(f"  {name}{suffix}")
-    print("prng modes (--prng-mode):")
-    for name in PRNG_MODES:
-        print(f"  {name}")
     return 0
 
 
@@ -515,15 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="execution backend: the scalar interpreter, the "
             "vectorized batch engine, or auto-selection (batch where "
             "it pays; results are bit-identical either way)",
-        )
-        p.add_argument(
-            "--prng-mode", dest="prng_mode", choices=PRNG_MODES,
-            default="exact",
-            help="platform draw mode: 'exact' replays the modelled "
-            "SIL3 LFSR bit-for-bit; 'fast-parity' swaps in a "
-            "counter-based generator with the same distribution "
-            "(different, equally valid, cycle counts — recorded in "
-            "artifacts and digests)",
         )
         p.add_argument(
             "--cache-kb", type=int, default=4,

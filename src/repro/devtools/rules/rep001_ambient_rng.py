@@ -10,24 +10,19 @@ experiment.  This rule rejects the ambient entry points:
   Twister) and ``random.SystemRandom`` (OS entropy);
 * ``numpy.random.<fn>()`` legacy module functions (the hidden global
   ``RandomState``) and ``numpy.random.default_rng()`` *without* a seed;
-* ``secrets.*`` and ``uuid.uuid1`` / ``uuid.uuid4`` (OS entropy);
-* ``FastParityPrng()`` constructed without a seed.  The constructor
-  itself refuses a default (it is a ``TypeError`` at runtime), but the
-  lint catches the pattern statically — including a hypothetical
-  ``FastParityPrng(seed=None)``-style wrapper hiding the omission —
-  before it ships.
+* ``secrets.*`` and ``uuid.uuid1`` / ``uuid.uuid4`` (OS entropy).
 
 Explicit constructions stay allowed: ``random.Random(seed)``,
 ``numpy.random.default_rng(seed)``, ``numpy.random.Generator`` /
 ``PCG64`` / ``SeedSequence`` (capitalised constructors take explicit
-state), ``FastParityPrng(seed)``.
+state).
 """
 
 from __future__ import annotations
 
 import ast
 
-from .base import Rule, call_name_tail, qualified_call_name
+from .base import Rule, qualified_call_name
 
 _ALLOWED_STDLIB_RANDOM = frozenset({"random.Random"})
 _FORBIDDEN_EXACT = frozenset({"uuid.uuid1", "uuid.uuid4", "random.SystemRandom"})
@@ -36,35 +31,17 @@ _FORBIDDEN_EXACT = frozenset({"uuid.uuid1", "uuid.uuid4", "random.SystemRandom"}
 class AmbientRngRule(Rule):
     rule_id = "REP001"
     summary = (
-        "ambient RNG (random.* / np.random.* module functions, seedless "
-        "FastParityPrng); randomness must come from seeded explicit "
-        "generators"
+        "ambient RNG (random.* / np.random.* module functions); "
+        "randomness must come from seeded explicit generators"
     )
 
     def visit_Call(self, node: ast.Call) -> None:
         qualified = qualified_call_name(node, self.imports)
         if qualified is not None:
             self._check_qualified(node, qualified)
-        elif call_name_tail(node) == "FastParityPrng":
-            # Relative imports are invisible to the import map, so the
-            # project's own `from .prng import FastParityPrng` uses land
-            # here — match on the bare constructor name.
-            self._check_fast_parity(node)
         self.generic_visit(node)
 
-    def _check_fast_parity(self, node: ast.Call) -> None:
-        if not node.args and not node.keywords:
-            self.report(
-                node,
-                "`FastParityPrng()` without a seed would be a hidden "
-                "entropy source; derive the seed from the campaign seed "
-                "chain",
-            )
-
     def _check_qualified(self, node: ast.Call, qualified: str) -> None:
-        if qualified.endswith(".FastParityPrng"):
-            self._check_fast_parity(node)
-            return
         if qualified in _FORBIDDEN_EXACT:
             self.report(
                 node,

@@ -1,6 +1,6 @@
 """Measurement harness: run protocol, sample containers, experiments."""
 
-from .campaign import CampaignConfig, CampaignResult, MeasurementCampaign
+from .campaign import CampaignConfig, CampaignResult
 from .experiment import (
     DetRandComparison,
     ScenarioComparison,
@@ -18,7 +18,6 @@ __all__ = [
     "CampaignResult",
     "DetRandComparison",
     "ExecutionTimeSample",
-    "MeasurementCampaign",
     "PathSamples",
     "RunRecord",
     "ScenarioComparison",

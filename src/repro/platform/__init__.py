@@ -34,17 +34,12 @@ from .placement import (
     make_placement,
 )
 from .prng import (
-    PRNG_MODES,
     CombinedLfsrPrng,
-    FastParityPrng,
     HealthTestResult,
     Lfsr,
-    PlatformPrng,
     SplitMix64,
     derive_seed,
-    make_platform_prng,
     run_health_tests,
-    validate_prng_mode,
 )
 from .replacement import (
     LruReplacement,
@@ -75,9 +70,6 @@ __all__ = [
     "CacheStats",
     "CombinedLfsrPrng",
     "ConcurrentRunResult",
-    "FastParityPrng",
-    "PRNG_MODES",
-    "PlatformPrng",
     "Core",
     "CoreConfig",
     "CoreStepper",
@@ -119,12 +111,10 @@ __all__ = [
     "leon3_det",
     "leon3_rand",
     "make_placement",
-    "make_platform_prng",
     "make_replacement",
     "numpy_available",
     "operand_class_of",
     "run_batch",
     "run_batch_segments",
     "run_health_tests",
-    "validate_prng_mode",
 ]

@@ -435,106 +435,6 @@ class _VecPrng:
         return out
 
 
-class _VecFastPrng:
-    """Per-run :class:`~repro.platform.prng.FastParityPrng` lanes.
-
-    The counter construction has no sequential dependency between
-    draws, so each lane's next ``_BUFFER`` values are materialized in
-    one vectorized refill; a masked draw is then one gather plus one
-    masked cursor bump.  Per lane the emitted sequence is bit-identical
-    to the scalar ``FastParityPrng`` seeded the same way (draw ``i``
-    maps counter ``seed + i * GOLDEN`` through the SplitMix64
-    finalizer), so scalar/batch parity holds in fast-parity mode too —
-    only the *exact-mode* hardware generator is swapped out.
-    """
-
-    _BUFFER = 64
-
-    def __init__(self, seeds: Sequence[int]) -> None:
-        np = _np
-        runs = len(seeds)
-        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
-        self._rows = np.arange(runs)
-        self._count = np.zeros(runs, dtype=np.uint64)
-        self._pos = np.zeros(runs, dtype=np.int64)
-        self._vals = np.zeros((runs, self._BUFFER), dtype=np.int64)
-        self._kind: Optional[Tuple[str, int]] = None
-        self._left = 0
-
-    def _refill(self, rows: Any) -> None:
-        np = _np
-        kind, param = self._kind  # type: ignore[misc]
-        self._count[rows] += self._pos[rows].astype(np.uint64)
-        steps = np.arange(1, self._BUFFER + 1, dtype=np.uint64)
-        z = self._seeds[rows, None] + (
-            (self._count[rows, None] + steps) * np.uint64(_GOLDEN)
-        )
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        if kind == "randint":
-            self._vals[rows] = (z % np.uint64(param)).astype(np.int64)
-        else:
-            self._vals[rows] = (z >> np.uint64(64 - param)).astype(np.int64)
-        self._pos[rows] = 0
-
-    def _replenish(self, kind: Tuple[str, int]) -> None:
-        np = _np
-        if kind != self._kind:
-            # Kind switches recompute the outstanding buffer from the
-            # per-lane counters — no draw is consumed or skipped.
-            self._kind = kind
-            self._refill(slice(None))
-        elif self._left <= 0:
-            exhausted = np.flatnonzero(self._pos == self._BUFFER)
-            if exhausted.size:
-                self._refill(exhausted)
-        else:
-            return
-        self._left = self._BUFFER - int(self._pos.max(initial=0))
-
-    def next_bits(self, nbits: int, mask: Any) -> Any:
-        self._replenish(("bits", nbits))
-        value = self._vals[self._rows, self._pos]
-        self._pos += mask
-        self._left -= 1
-        return value
-
-    def randint(self, n: int, mask: Any) -> Any:
-        np = _np
-        if n == 1:
-            return np.zeros(self._pos.shape[0], dtype=np.int64)
-        self._replenish(("randint", n))
-        value = self._vals[self._rows, self._pos]
-        self._pos += mask
-        self._left -= 1
-        return value
-
-    def next_bits_idx(self, nbits: int, lanes: Any) -> Any:
-        self._replenish(("bits", nbits))
-        value = self._vals[lanes, self._pos[lanes]]
-        self._pos[lanes] += 1
-        self._left -= 1
-        return value
-
-    def randint_idx(self, n: int, lanes: Any) -> Any:
-        np = _np
-        if n == 1:
-            return np.zeros(lanes.shape[0], dtype=np.int64)
-        self._replenish(("randint", n))
-        value = self._vals[lanes, self._pos[lanes]]
-        self._pos[lanes] += 1
-        self._left -= 1
-        return value
-
-
-def _make_vec_prng(prng_mode: str, seeds: Sequence[int]) -> Any:
-    """Vectorized platform generator lanes for ``prng_mode``."""
-    if prng_mode == "fast-parity":
-        return _VecFastPrng(seeds)
-    return _VecPrng(seeds)
-
-
 class _VecRandomRepl:
     """Random replacement: victims drawn from the per-lane PRNG.
 
@@ -658,14 +558,13 @@ class _VecTagStore:
         replacement: str,
         seeds: Sequence[int],
         lanes: int,
-        prng_mode: str,
     ) -> None:
         np = _np
         self.ways = ways
         self._rows = np.arange(lanes)
         self.tags = np.full((lanes, num_sets, ways), -1, dtype=np.int64)
         self.valid = np.zeros((lanes, num_sets), dtype=np.int64)
-        prng = _make_vec_prng(prng_mode, seeds) if replacement == "random" else None
+        prng = _VecPrng(seeds) if replacement == "random" else None
         self.repl = _make_vec_replacement(replacement, lanes, num_sets, ways, prng)
         self._needs_touch = self.repl.needs_touch
         self.evictions = np.zeros(lanes, dtype=np.int64)
@@ -723,12 +622,9 @@ class _VecCache(_VecTagStore):
         cfg: CacheConfig,
         seeds: Sequence[int],
         lanes: int,
-        prng_mode: str = "exact",
     ) -> None:
         np = _np
-        super().__init__(
-            cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes, prng_mode
-        )
+        super().__init__(cfg.num_sets, cfg.ways, cfg.replacement, seeds, lanes)
         self.num_sets = cfg.num_sets
         self.line_shift = cfg.line_shift
         self._placement = cfg.placement
@@ -824,10 +720,9 @@ class _VecTlb(_VecTagStore):
         cfg: TlbConfig,
         seeds: Sequence[int],
         lanes: int,
-        prng_mode: str = "exact",
     ) -> None:
         np = _np
-        super().__init__(1, cfg.entries, cfg.replacement, seeds, lanes, prng_mode)
+        super().__init__(1, cfg.entries, cfg.replacement, seeds, lanes)
         self._penalty = cfg.walk_penalty_cycles
         self.hits = np.zeros(lanes, dtype=np.int64)
         self.lookups = 0
@@ -1145,14 +1040,13 @@ class _VecCore:
         core_cfg: CoreConfig,
         seeds: Sequence[int],
         core_id: int,
-        prng_mode: str,
     ) -> None:
         lanes = len(seeds)
         icache, dcache, itlb, dtlb = _component_seeds(seeds, core_id)
-        self.icache = _VecCache(core_cfg.icache, icache, lanes, prng_mode)
-        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes, prng_mode)
-        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes, prng_mode)
-        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes, prng_mode)
+        self.icache = _VecCache(core_cfg.icache, icache, lanes)
+        self.dcache = _VecCache(core_cfg.dcache, dcache, lanes)
+        self.itlb = _VecTlb(core_cfg.itlb, itlb, lanes)
+        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -1186,7 +1080,7 @@ class _BatchEngine:
         self.core_cfg = cfg.core
         self.core_id = core_id
         self.runs = len(seeds)
-        self.core = _VecCore(cfg.core, seeds, core_id, cfg.prng_mode)
+        self.core = _VecCore(cfg.core, seeds, core_id)
         self.store_buffer = _VecStoreBuffer(self.runs, cfg.core.store_buffer_depth)
         self.bus = _VecBus(cfg.bus, self.runs, (core_id,))
         self.memory = _VecMemory(cfg.memory, self.runs)

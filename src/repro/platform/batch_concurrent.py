@@ -325,7 +325,7 @@ class _CoreStream:
         self.tables = tables
         self.length = tables.length
         self.total = int(tables.charged[-1])
-        self.core = _VecCore(cfg.core, seeds, core_id, cfg.prng_mode)
+        self.core = _VecCore(cfg.core, seeds, core_id)
         self.ipen = cfg.core.itlb.walk_penalty_cycles
         self.dpen = cfg.core.dtlb.walk_penalty_cycles
         self.pen = np.zeros(runs, dtype=np.int64)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from .placement import PlacementPolicy, make_placement
 from .replacement import RandomReplacement, ReplacementPolicy, make_replacement
-from .prng import PlatformPrng
+from .prng import CombinedLfsrPrng
 
 __all__ = ["CacheConfig", "CacheStats", "Cache"]
 
@@ -131,7 +131,7 @@ class Cache:
     def __init__(
         self,
         config: CacheConfig,
-        prng: Optional[PlatformPrng] = None,
+        prng: Optional[CombinedLfsrPrng] = None,
         name: str = "cache",
     ) -> None:
         self.config = config

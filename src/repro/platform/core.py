@@ -52,7 +52,7 @@ from .cache import Cache, CacheConfig, CacheStats
 from .fpu import FpOp, Fpu, FpuConfig, FpuStats
 from .memory import MemoryController
 from .pipeline import PipelineConfig, PipelineModel, PipelineStats
-from .prng import derive_seed, make_platform_prng
+from .prng import CombinedLfsrPrng, derive_seed
 from .tlb import Tlb, TlbConfig, TlbStats
 from .trace import InstrKind, Trace
 
@@ -328,35 +328,33 @@ class Core:
         config: CoreConfig,
         bus: Bus,
         memory: MemoryController,
-        prng_mode: str = "exact",
     ) -> None:
         self.core_id = core_id
         self.config = config
         self.bus = bus
         self.memory = memory
-        self.prng_mode = prng_mode
         # Each randomized component gets its own PRNG instance so that
         # victim draws in one cache never perturb another; all are
         # reseeded from the single per-run seed in prepare_run().  The
         # placeholder seeds (1..4) never reach a measured run.
         self.icache = Cache(
             config.icache,
-            prng=make_platform_prng(prng_mode, 1),
+            prng=CombinedLfsrPrng(1),
             name=f"core{core_id}.il1",
         )
         self.dcache = Cache(
             config.dcache,
-            prng=make_platform_prng(prng_mode, 2),
+            prng=CombinedLfsrPrng(2),
             name=f"core{core_id}.dl1",
         )
         self.itlb = Tlb(
             config.itlb,
-            prng=make_platform_prng(prng_mode, 3),
+            prng=CombinedLfsrPrng(3),
             name=f"core{core_id}.itlb",
         )
         self.dtlb = Tlb(
             config.dtlb,
-            prng=make_platform_prng(prng_mode, 4),
+            prng=CombinedLfsrPrng(4),
             name=f"core{core_id}.dtlb",
         )
         self.fpu = Fpu(config.fpu)

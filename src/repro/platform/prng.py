@@ -30,16 +30,11 @@ which is what makes measurement campaigns reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Lfsr",
     "CombinedLfsrPrng",
-    "FastParityPrng",
-    "PlatformPrng",
-    "PRNG_MODES",
-    "validate_prng_mode",
-    "make_platform_prng",
     "SplitMix64",
     "HealthTestResult",
     "monobit_test",
@@ -48,22 +43,6 @@ __all__ = [
     "run_health_tests",
     "derive_seed",
 ]
-
-#: Supported platform draw modes.  ``exact`` is the modelled hardware
-#: generator (:class:`CombinedLfsrPrng`, bit-identical across backends);
-#: ``fast-parity`` swaps in :class:`FastParityPrng`, a counter-based
-#: generator that is *statistically* equivalent (gated by distribution
-#: tests, not bit-identity) and vectorizes to a handful of numpy ops.
-PRNG_MODES: Tuple[str, ...] = ("exact", "fast-parity")
-
-
-def validate_prng_mode(mode: str) -> str:
-    """Return ``mode`` if it names a supported draw mode, else raise."""
-    if mode not in PRNG_MODES:
-        raise ValueError(
-            f"unknown prng_mode {mode!r}; supported: {', '.join(PRNG_MODES)}"
-        )
-    return mode
 
 # Maximal-length tap sets (feedback polynomial exponents) for Fibonacci
 # LFSRs of co-prime degrees.  Periods are 2**n - 1; the chosen degrees
@@ -215,99 +194,6 @@ class CombinedLfsrPrng:
         (e.g. one per cache) without sharing mutable state.
         """
         return CombinedLfsrPrng(self.next_bits(63))
-
-
-class FastParityPrng:
-    """Counter-based draw generator for the opt-in ``fast-parity`` mode.
-
-    A SplitMix64-style counter generator: the state is a 64-bit counter
-    advanced by the golden-ratio increment, and each draw is one
-    finalizer pass over the counter.  Compared to the modelled
-    :class:`CombinedLfsrPrng` hardware generator this trades *bit
-    identity* for speed: one draw is one 64-bit mix instead of up to 32
-    LFSR steps across four registers, and ``randint`` maps the mixed
-    word with a modulo instead of rejection sampling (the residual bias
-    is at most ``n / 2**64 < 2**-58`` for the way/entry counts the
-    platform uses, and exactly zero when ``n`` is a power of two — the
-    default randomized configs).  Draw streams are validated against the
-    exact generator by *distribution* tests (KS / chi-square, and
-    campaign-level pWCET-quantile equivalence), never by bit identity.
-
-    The constructor deliberately has **no default seed**: fast-parity
-    draws are measurement-determining, so every instance must be traceable
-    to an explicit run seed (repro-lint REP001 flags seedless
-    construction).  Given the same seed, the scalar instance and the
-    vectorized lane in ``platform/batch.py`` produce bit-identical draw
-    sequences, which is what lets scalar/batch parity suites run in this
-    mode too.
-    """
-
-    GOLDEN = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int) -> None:
-        self.seed = int(seed)
-        self.state = int(seed) & _MASK64
-
-    def reseed(self, seed: int) -> None:
-        """Reset the counter state from ``seed``."""
-        self.seed = int(seed)
-        self.state = int(seed) & _MASK64
-
-    def _next_u64(self) -> int:
-        self.state = (self.state + self.GOLDEN) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_bit(self) -> int:
-        """Return one pseudo-random bit (the mixed word's MSB)."""
-        return self._next_u64() >> 63
-
-    def next_bits(self, n: int) -> int:
-        """Return an ``n``-bit integer (top ``n`` bits of one draw)."""
-        if not 0 < n <= 64:
-            raise ValueError("next_bits() requires 1 <= n <= 64")
-        return self._next_u64() >> (64 - n)
-
-    def next_u32(self) -> int:
-        """Return a 32-bit pseudo-random integer."""
-        return self.next_bits(32)
-
-    def randint(self, n: int) -> int:
-        """Return an integer in ``[0, n)`` from exactly one draw.
-
-        No rejection loop: the mixed 64-bit word is reduced modulo ``n``,
-        so every call consumes exactly one counter increment — the
-        property that lets the vectorized form drop cross-lane masking.
-        """
-        if n <= 0:
-            raise ValueError("randint() requires n >= 1")
-        if n == 1:
-            return 0
-        return self._next_u64() % n
-
-    def random(self) -> float:
-        """Uniform float in ``[0, 1)`` with 53 bits of precision."""
-        return (self._next_u64() >> 11) / float(1 << 53)
-
-    def fork(self) -> "FastParityPrng":
-        """Return a new generator seeded from this one."""
-        return FastParityPrng(self.next_bits(63))
-
-
-#: The generator interface the platform components accept: the modelled
-#: hardware generator or its fast-parity stand-in.  Both expose ``seed``,
-#: ``reseed``, ``next_bit(s)``, ``randint``, ``random`` and ``fork``.
-PlatformPrng = Union[CombinedLfsrPrng, FastParityPrng]
-
-
-def make_platform_prng(mode: str, seed: int) -> PlatformPrng:
-    """Build the platform generator for ``mode`` from an explicit seed."""
-    validate_prng_mode(mode)
-    if mode == "fast-parity":
-        return FastParityPrng(seed)
-    return CombinedLfsrPrng(seed)
 
 
 class SplitMix64:

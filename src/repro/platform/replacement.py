@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional
 
-from .prng import CombinedLfsrPrng, PlatformPrng
+from .prng import CombinedLfsrPrng
 
 __all__ = [
     "ReplacementPolicy",
@@ -110,7 +110,7 @@ class RandomReplacement(ReplacementPolicy):
     randomized = True
 
     def __init__(
-        self, num_sets: int, num_ways: int, prng: Optional[PlatformPrng] = None
+        self, num_sets: int, num_ways: int, prng: Optional[CombinedLfsrPrng] = None
     ) -> None:
         super().__init__(num_sets, num_ways)
         self.prng = prng if prng is not None else CombinedLfsrPrng(0xC0FFEE)
@@ -212,7 +212,7 @@ def make_replacement(
     name: str,
     num_sets: int,
     num_ways: int,
-    prng: Optional[PlatformPrng] = None,
+    prng: Optional[CombinedLfsrPrng] = None,
 ) -> ReplacementPolicy:
     """Construct a replacement policy by configuration name.
 

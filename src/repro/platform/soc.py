@@ -44,7 +44,6 @@ from .prng import (
     CombinedLfsrPrng,
     derive_seed,
     run_health_tests,
-    validate_prng_mode,
 )
 from .schedule import run_min_time_interleave
 from .tlb import TlbConfig
@@ -76,13 +75,6 @@ class PlatformConfig:
     check_prng_health:
         Run the SIL3-style health battery on the platform PRNG at
         construction (cheap, catches bad custom generators early).
-    prng_mode:
-        Platform draw mode: ``"exact"`` (default — the modelled
-        multi-LFSR hardware generator, bit-identical across backends) or
-        ``"fast-parity"`` (counter-based stand-in, statistically
-        equivalent, gated by distribution tests).  Measurement-
-        determining on randomized configurations, so it participates in
-        platform fingerprints and execution digests.
     """
 
     name: str = "platform"
@@ -91,10 +83,6 @@ class PlatformConfig:
     bus: BusConfig = field(default_factory=BusConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     check_prng_health: bool = False
-    prng_mode: str = "exact"
-
-    def __post_init__(self) -> None:
-        validate_prng_mode(self.prng_mode)
 
     @property
     def is_randomized(self) -> bool:
@@ -178,7 +166,6 @@ class Platform:
                 config.core,
                 self.bus,
                 self.memory,
-                prng_mode=config.prng_mode,
             )
             for core_id in range(config.num_cores)
         ]
@@ -193,16 +180,6 @@ class Platform:
     def name(self) -> str:
         """Configuration name ("RAND" / "DET" in the presets)."""
         return self.config.name
-
-    def with_prng_mode(self, prng_mode: str) -> "Platform":
-        """Return a platform with the same config under ``prng_mode``.
-
-        Returns ``self`` when the mode already matches, so threading a
-        mode through the runner is free in the default case.
-        """
-        if prng_mode == self.config.prng_mode:
-            return self
-        return Platform(replace(self.config, prng_mode=prng_mode))
 
     def reset(self, seed: int = 0) -> None:
         """Full platform reset: bus, memory and every core (all cores
@@ -297,7 +274,6 @@ def leon3_rand(
     fpu_mode: FpuMode = FpuMode.ANALYSIS,
     cache_kb: int = 16,
     placement: str = "random_modulo",
-    prng_mode: str = "exact",
 ) -> Platform:
     """The paper's MBPTA-compliant platform (RAND).
 
@@ -310,9 +286,7 @@ def leon3_rand(
     paper's board; the benches also use a scaled-pressure configuration
     — see EXPERIMENTS.md).  ``placement`` switches between
     ``random_modulo`` (DAC'16, the paper's design) and ``hash_random``
-    (DATE'13) for the placement ablation.  ``prng_mode`` selects the
-    draw generator (``exact`` hardware LFSRs or the opt-in
-    ``fast-parity`` counter generator — see :mod:`repro.platform.prng`).
+    (DATE'13) for the placement ablation.
     """
     core = CoreConfig(
         icache=_l1_config(placement, "random", cache_kb),
@@ -327,22 +301,17 @@ def leon3_rand(
             num_cores=num_cores,
             core=core,
             check_prng_health=check_prng_health,
-            prng_mode=prng_mode,
         )
     )
 
 
-def leon3_det(
-    num_cores: int = 4, cache_kb: int = 16, prng_mode: str = "exact"
-) -> Platform:
+def leon3_det(num_cores: int = 4, cache_kb: int = 16) -> Platform:
     """The deterministic baseline platform (DET).
 
     Conventional modulo placement and LRU replacement; the FPU runs in
     operation mode (value-dependent FDIV/FSQRT latency).  Execution time
     varies only with program inputs and memory layout — the jitter MBTA
-    practice covers with an engineering margin.  ``prng_mode`` is
-    accepted for interface parity with :func:`leon3_rand`; DET consumes
-    no per-run randomness, so it never changes an observation.
+    practice covers with an engineering margin.
     """
     core = CoreConfig(
         icache=_l1_config("modulo", "lru", cache_kb),
@@ -352,7 +321,5 @@ def leon3_det(
         fpu=FpuConfig(mode=FpuMode.OPERATION),
     )
     return Platform(
-        PlatformConfig(
-            name="DET", num_cores=num_cores, core=core, prng_mode=prng_mode
-        )
+        PlatformConfig(name="DET", num_cores=num_cores, core=core)
     )

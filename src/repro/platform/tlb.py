@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .prng import PlatformPrng
+from .prng import CombinedLfsrPrng
 from .replacement import RandomReplacement, ReplacementPolicy, make_replacement
 
 __all__ = ["TlbConfig", "TlbStats", "Tlb"]
@@ -93,7 +93,7 @@ class Tlb:
     def __init__(
         self,
         config: TlbConfig,
-        prng: Optional[PlatformPrng] = None,
+        prng: Optional[CombinedLfsrPrng] = None,
         name: str = "tlb",
     ) -> None:
         self.config = config

@@ -213,10 +213,7 @@ class JobQueue:
 
         execution = execute_request(job.request, progress=progress)
         artifact = execution.artifact()
-        self.metrics.incr(
-            "runs_executed_total."
-            f"{execution.result.backend}.{execution.result.prng_mode}"
-        )
+        self.metrics.incr(f"runs_executed_total.{execution.result.backend}")
         self.store.save_campaign(job.execution_digest, artifact)
         return artifact.to_json(indent=2) + "\n"
 

@@ -24,10 +24,7 @@ from repro.api import (
     create_workload,
 )
 from repro.core import ConvergencePolicy
-from repro.harness import MeasurementCampaign
 from repro.platform.batch import numpy_available
-from repro.programs.layout import link
-from repro.workloads.kernels import table_walk_kernel
 from repro.workloads.synthetic import gumbel_samples
 from repro.workloads.tvca import TvcaConfig
 
@@ -87,29 +84,6 @@ def test_kernel_campaign_backend_parity(vary_inputs):
     batch = _kernel_campaign("batch", vary_inputs=vary_inputs)
     sharded = _kernel_campaign("batch", shards=3, vary_inputs=vary_inputs)
     assert scalar.run_details == batch.run_details == sharded.run_details
-
-
-@requires_numpy
-def test_indexed_env_program_campaign_backend_parity():
-    """The legacy index-keyed env adapter batches as singleton groups."""
-    program = table_walk_kernel(entries=64, lookups=32)
-    image = link(program)
-
-    def env_fn(run_index):
-        return {"indices": [(run_index * 17 + k) % 64 for k in range(32)]}
-
-    results = []
-    for backend in ("scalar", "batch", "auto"):
-        campaign = MeasurementCampaign(
-            CampaignConfig(runs=12, base_seed=5, vary_inputs=False),
-            backend=backend,
-        )
-        platform = create_platform("rand", num_cores=1, cache_kb=1)
-        results.append(
-            campaign.run_program(platform, program, image, env_fn=env_fn)
-        )
-    assert results[0].run_details == results[1].run_details
-    assert results[0].run_details == results[2].run_details
 
 
 @requires_numpy

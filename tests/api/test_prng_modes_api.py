@@ -1,28 +1,19 @@
-"""The ``prng_mode`` knob across the API surface.
+"""The removed ``prng_mode`` knob across the API surface.
 
-Unlike ``backend``/``shards`` (observation-neutral provenance),
-``prng_mode`` is measurement-determining: a fast-parity campaign
-produces different — equally distributed — cycle counts.  These tests
-pin the resulting contract: requests validate and round-trip the mode,
-exact-mode digests/artifacts stay byte-stable against earlier releases,
-non-default modes split the execution digest and are recorded in the
-artifact, and a fast-parity campaign's pWCET curve agrees with the
-exact-mode curve within its bootstrap confidence band.
+Every campaign measures under the modelled SIL3 LFSR generator; the
+opt-in draw mode that once swapped in a counter-based generator is
+gone.  These tests pin what remains of the contract: request JSON that
+still names the exact mode parses to the same request (and hashes to
+the same execution digest), any other mode is rejected with a
+``ValueError`` that says the mode was removed, and exact-mode digests,
+fingerprints and artifacts carry no ``prng_mode`` key.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.api import (
-    AnalysisRequest,
-    CampaignRequest,
-    execute_request,
-    registry_schema,
-)
-from repro.platform.batch import numpy_available
-from repro.platform.prng import PRNG_MODES
+from repro.api import CampaignRequest, execute_request
 
 SMALL = dict(
     workload="matmul",
@@ -33,168 +24,60 @@ SMALL = dict(
     platform_kwargs={"num_cores": 1, "cache_kb": 4},
 )
 
+#: ``CampaignRequest(**SMALL).to_json()`` as written while the draw-mode
+#: option existed, and the execution digest it had then.
+LEGACY_JSON = (
+    '{"analysis": null, "backend": "auto", "base_seed": 7, '
+    '"convergence": null, "platform": "rand", "platform_kwargs": '
+    '{"cache_kb": 4, "num_cores": 1}, "prng_mode": "exact", "runs": 12, '
+    '"scenario": null, "schema": "repro.campaign-request/1", "shards": 1, '
+    '"vary_inputs": true, "workload": "matmul", "workload_kwargs": '
+    '{"dim": 3}}'
+)
+LEGACY_EXECUTION_DIGEST = (
+    "b75447f26f096b39f17936fa296e1958cb5d2792cfa9f4f4bfdb753a9c8b332f"
+)
+
 
 class TestRequestSurface:
-    def test_default_is_exact(self):
-        assert CampaignRequest(**SMALL).prng_mode == "exact"
-
-    def test_unknown_mode_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown prng_mode"):
-            CampaignRequest(prng_mode="lfsr", **SMALL)
-
     def test_round_trips_through_json(self):
-        request = CampaignRequest(prng_mode="fast-parity", **SMALL)
+        request = CampaignRequest(**SMALL)
+        assert "prng_mode" not in request.to_dict()
         assert CampaignRequest.from_json(request.to_json()) == request
 
     def test_from_dict_rejects_unknown_mode(self):
-        payload = CampaignRequest(**SMALL).to_dict()
-        payload["prng_mode"] = "bogus"
-        with pytest.raises(ValueError, match="unknown prng_mode"):
-            CampaignRequest.from_dict(payload)
+        for mode in ("fast-parity", "bogus"):
+            payload = CampaignRequest(**SMALL).to_dict()
+            payload["prng_mode"] = mode
+            with pytest.raises(ValueError, match="draw mode was removed"):
+                CampaignRequest.from_dict(payload)
 
     def test_legacy_payload_defaults_to_exact(self):
-        # Wire payloads from before the field existed must still parse
-        # (additive schema evolution) and mean exact mode.
-        payload = CampaignRequest(**SMALL).to_dict()
-        del payload["prng_mode"]
-        assert CampaignRequest.from_dict(payload).prng_mode == "exact"
-
-    def test_build_platform_applies_mode(self):
-        request = CampaignRequest(prng_mode="fast-parity", **SMALL)
-        assert request.build_platform().config.prng_mode == "fast-parity"
-        assert CampaignRequest(**SMALL).build_platform().config.prng_mode == (
-            "exact"
+        # Request JSON written while the option existed names the exact
+        # mode explicitly; it must still parse, to the same request.
+        assert CampaignRequest.from_json(LEGACY_JSON) == CampaignRequest(
+            **SMALL
         )
-
-    def test_registry_lists_modes(self):
-        assert registry_schema()["prng_modes"] == list(PRNG_MODES)
 
 
 class TestDigests:
-    def test_mode_splits_the_execution_digest(self):
-        # Measurement-determining: unlike backend/shards, a different
-        # draw mode must produce a different execution digest (the
-        # service's artifact-cache key).
-        exact = CampaignRequest(**SMALL)
-        fast = replace(exact, prng_mode="fast-parity")
-        assert exact.execution_digest() != fast.execution_digest()
-        assert exact.digest() != fast.digest()
-
     def test_exact_mode_digest_is_byte_stable(self):
-        # The explicit default and the field's absence (legacy wire
-        # payloads) hash identically: introducing the knob must not
-        # invalidate any pre-existing exact-mode artifact cache.
-        exact = CampaignRequest(**SMALL)
-        assert (
-            exact.execution_digest()
-            == replace(exact, prng_mode="exact").execution_digest()
-        )
-        fingerprint = exact.build_platform()
         from repro.api.artifacts import platform_fingerprint
 
-        assert "prng_mode" not in platform_fingerprint(fingerprint)
-
-    def test_fast_parity_fingerprint_records_mode(self):
-        from repro.api.artifacts import platform_fingerprint
-
-        platform = CampaignRequest(
-            prng_mode="fast-parity", **SMALL
-        ).build_platform()
-        assert platform_fingerprint(platform)["prng_mode"] == "fast-parity"
+        request = CampaignRequest(**SMALL)
+        payload = request.to_dict()
+        payload["prng_mode"] = "exact"
+        with_key = CampaignRequest.from_dict(payload)
+        assert with_key.execution_digest() == request.execution_digest()
+        assert request.execution_digest() == LEGACY_EXECUTION_DIGEST
+        assert "prng_mode" not in platform_fingerprint(request.build_platform())
 
 
 class TestExecution:
-    def test_result_and_artifact_record_the_mode(self):
-        execution = execute_request(
-            CampaignRequest(prng_mode="fast-parity", **SMALL)
-        )
-        assert execution.result.prng_mode == "fast-parity"
-        payload = json.loads(execution.artifact().to_json())
-        assert payload["config"]["prng_mode"] == "fast-parity"
-        assert payload["platform"]["prng_mode"] == "fast-parity"
-
     def test_exact_artifact_stays_byte_stable(self):
-        # Exact-mode artifacts must not grow new keys: existing stores
-        # diff artifacts byte-for-byte.
+        # Artifacts never carried the key in exact mode, and existing
+        # stores diff artifacts byte-for-byte.
         execution = execute_request(CampaignRequest(**SMALL))
-        assert execution.result.prng_mode == "exact"
         payload = json.loads(execution.artifact().to_json())
         assert "prng_mode" not in payload["config"]
         assert "prng_mode" not in payload["platform"]
-
-    def test_modes_measure_different_cycles(self):
-        # Enough cache pressure that random replacement draws actually
-        # decide victims (SMALL's 3x3 matmul fits the 4 KB cache).
-        pressured = dict(
-            SMALL,
-            workload="tvca",
-            runs=6,
-            workload_kwargs={},
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-        )
-        exact = execute_request(CampaignRequest(**pressured))
-        fast = execute_request(
-            CampaignRequest(prng_mode="fast-parity", **pressured)
-        )
-        assert [r.cycles for r in exact.result.run_details] != [
-            r.cycles for r in fast.result.run_details
-        ]
-
-    @pytest.mark.skipif(
-        not numpy_available(), reason="batch backend requires numpy"
-    )
-    def test_backends_bit_identical_under_fast_parity(self):
-        base = dict(SMALL, vary_inputs=False, runs=30)
-        scalar = execute_request(
-            CampaignRequest(prng_mode="fast-parity", backend="scalar", **base)
-        )
-        batch = execute_request(
-            CampaignRequest(prng_mode="fast-parity", backend="batch", **base)
-        )
-        assert scalar.result.run_details == batch.result.run_details
-
-
-@pytest.mark.skipif(
-    not numpy_available(), reason="batch backend requires numpy"
-)
-class TestDistributionGate:
-    """Fast-parity is admissible as a measurement protocol: its pWCET
-    curve must agree with exact mode within statistical uncertainty."""
-
-    def test_pwcet_within_exact_bootstrap_band(self):
-        base = dict(
-            workload="tvca",
-            platform="rand",
-            runs=360,
-            base_seed=2017,
-            vary_inputs=False,
-            backend="batch",
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-            analysis=AnalysisRequest(ci=0.99, bootstrap=150),
-        )
-        exact = execute_request(CampaignRequest(**base))
-        fast = execute_request(
-            CampaignRequest(prng_mode="fast-parity", **base)
-        )
-        assert exact.analysis is not None and fast.analysis is not None
-        exact_band = exact.analysis.band_table()
-        assert exact_band, "exact campaign produced no bootstrap band"
-        checked = 0
-        for p, lower, upper in exact_band:
-            if p < 1e-8:
-                # The band table spans 1e-6..1e-15; gate the shallow
-                # cutoffs, where tail extrapolation is mildest and the
-                # equivalence claim is statistically meaningful.
-                continue
-            quantile = fast.analysis.quantile(p)
-            # The band brackets the exact *estimate*; the fast estimate
-            # is an independent equal-distribution draw, so allow the
-            # band width again as slack on each side.
-            slack = upper - lower
-            assert lower - slack <= quantile <= upper + slack, (
-                p,
-                quantile,
-                (lower, upper),
-            )
-            checked += 1
-        assert checked >= 2

@@ -15,7 +15,6 @@ from repro.api import (
 )
 from repro.core import ConvergencePolicy
 from repro.harness import (
-    MeasurementCampaign,
     compare_det_rand,
     compare_requests,
     compare_scenarios,
@@ -205,12 +204,6 @@ class TestShimParity:
         )
         request = CampaignRequest(**SMALL)
         assert cycles(legacy) == cycles(CampaignRunner.run_request(request))
-
-    def test_measurement_campaign_run_request(self):
-        request = CampaignRequest(**SMALL)
-        assert cycles(MeasurementCampaign.run_request(request)) == cycles(
-            CampaignRunner.run_request(request)
-        )
 
     def test_compare_det_rand_matches_requests(self):
         legacy = compare_det_rand(runs=6, base_seed=11)

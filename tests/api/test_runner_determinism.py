@@ -15,7 +15,7 @@ from repro.api import (
     ProgramWorkload,
     TvcaWorkload,
 )
-from repro.harness import MeasurementCampaign, RunRecord
+from repro.harness import RunRecord
 from repro.platform.soc import leon3_rand
 from repro.workloads.kernels import matmul_kernel
 from repro.workloads.tvca.app import TvcaConfig
@@ -50,16 +50,15 @@ class TestShardDeterminism:
         assert sharded.merged.values == serial.merged.values
         assert sharded.run_details == serial.run_details
 
-    def test_matches_legacy_seed_path(self, serial):
+    def test_app_instance_matches_config(self, serial):
         from repro.workloads.tvca.app import TvcaApplication
 
-        campaign = MeasurementCampaign(
-            CampaignConfig(runs=RUNS, base_seed=BASE_SEED)
+        runner = CampaignRunner(CampaignConfig(runs=RUNS, base_seed=BASE_SEED))
+        from_app = runner.run(
+            TvcaWorkload(app=TvcaApplication(SMALL_TVCA)),
+            leon3_rand(num_cores=1),
         )
-        legacy = campaign.run_tvca(
-            leon3_rand(num_cores=1), TvcaApplication(SMALL_TVCA)
-        )
-        assert _paths_dict(legacy.samples) == _paths_dict(serial.samples)
+        assert _paths_dict(from_app.samples) == _paths_dict(serial.samples)
 
     def test_records_sorted_and_typed(self, serial):
         assert all(isinstance(r, RunRecord) for r in serial.run_details)

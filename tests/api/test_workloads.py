@@ -132,38 +132,6 @@ class TestTraceMemoization:
         assert other.trace is not first.trace
         assert first.metadata["jobs"] > 0
 
-    def test_indexed_envs_not_poisoned_by_constant_input_seed(self):
-        """vary_inputs=False keeps one input seed for every run; the
-        legacy index-keyed env adapter must still get per-index traces
-        (regression test for the trace-cache key)."""
-        from repro.harness import CampaignConfig as HarnessConfig
-        from repro.harness import MeasurementCampaign
-        from repro.programs.dsl import Block, Loop, Program, alu
-        from repro.programs.layout import link
-
-        program = Program(
-            name="varying",
-            body=[
-                Loop(
-                    name="n",
-                    count=lambda env: env["n"],
-                    body=[Block([alu(4)])],
-                )
-            ],
-        )
-        campaign = MeasurementCampaign(
-            HarnessConfig(runs=4, base_seed=3, vary_inputs=False)
-        )
-        result = campaign.run_program(
-            leon3_det(num_cores=1),
-            program,
-            link(program),
-            env_fn=lambda index: {"n": 4 + 4 * index},
-        )
-        cycles = [record.cycles for record in result.run_details]
-        assert len(set(cycles)) == 4  # strictly growing work per index
-        assert cycles == sorted(cycles)
-
 
 class TestSyntheticWorkload:
     def test_draws_one_value_per_run(self):

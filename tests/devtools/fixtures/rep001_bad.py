@@ -7,8 +7,6 @@ import uuid
 import numpy as np
 from numpy import random as nprandom
 
-from repro.platform.prng import FastParityPrng
-
 
 def jitter() -> float:
     random.seed(0)
@@ -21,5 +19,4 @@ def draw(n):
     picks = nprandom.randint(0, 10, size=n)
     token = secrets.token_hex(4)
     run_id = uuid.uuid4()
-    fast = FastParityPrng()
-    return rng, picks, token, run_id, fast
+    return rng, picks, token, run_id

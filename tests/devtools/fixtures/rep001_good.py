@@ -5,8 +5,6 @@ import random
 
 import numpy as np
 
-from repro.platform.prng import FastParityPrng
-
 
 def jitter(seed: int) -> float:
     rng = random.Random(seed)
@@ -17,7 +15,3 @@ def jitter(seed: int) -> float:
 def machinery(seed: int):
     seq = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def fast_draws(seed: int) -> int:
-    return FastParityPrng(seed).next_bits(8)

@@ -14,7 +14,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: scoping need an in-scope location), and the finding count the bad
 #: fixture must produce.
 RULE_CASES = {
-    "REP001": ("src/repro/api/runner.py", 8),
+    "REP001": ("src/repro/api/runner.py", 7),
     "REP002": ("src/repro/api/runner.py", 6),
     "REP003": ("src/repro/api/runner.py", 6),
     "REP004": ("src/repro/core/evt/gumbel.py", 2),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness.campaign import CampaignConfig, MeasurementCampaign
+from repro.api import CampaignRunner, ProgramWorkload, TvcaWorkload
+from repro.harness.campaign import CampaignConfig
 from repro.harness.experiment import compare_det_rand
 from repro.platform.soc import leon3_det, leon3_rand
 from repro.programs.layout import link
@@ -34,32 +35,36 @@ class TestCampaignConfig:
 
 class TestTvcaCampaign:
     def test_collects_requested_runs(self):
-        campaign = MeasurementCampaign(CampaignConfig(runs=12, base_seed=3))
-        result = campaign.run_tvca(leon3_rand(num_cores=1), TvcaApplication(SMALL_TVCA))
+        runner = CampaignRunner(CampaignConfig(runs=12, base_seed=3))
+        result = runner.run(
+            TvcaWorkload(app=TvcaApplication(SMALL_TVCA)), leon3_rand(num_cores=1)
+        )
         assert result.num_runs == 12
         assert len(result.merged) == 12
 
     def test_reproducible_with_same_base_seed(self):
         app = TvcaApplication(SMALL_TVCA)
-        c1 = MeasurementCampaign(CampaignConfig(runs=6, base_seed=9))
-        c2 = MeasurementCampaign(CampaignConfig(runs=6, base_seed=9))
-        r1 = c1.run_tvca(leon3_rand(num_cores=1), app)
-        r2 = c2.run_tvca(leon3_rand(num_cores=1), app)
+        c1 = CampaignRunner(CampaignConfig(runs=6, base_seed=9))
+        c2 = CampaignRunner(CampaignConfig(runs=6, base_seed=9))
+        r1 = c1.run(TvcaWorkload(app=app), leon3_rand(num_cores=1))
+        r2 = c2.run(TvcaWorkload(app=app), leon3_rand(num_cores=1))
         assert r1.merged.values == r2.merged.values
 
     def test_progress_callback(self):
         seen = []
-        campaign = MeasurementCampaign(CampaignConfig(runs=4))
-        campaign.run_tvca(
+        runner = CampaignRunner(CampaignConfig(runs=4))
+        runner.run(
+            TvcaWorkload(app=TvcaApplication(SMALL_TVCA)),
             leon3_rand(num_cores=1),
-            TvcaApplication(SMALL_TVCA),
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_paths_recorded(self):
-        campaign = MeasurementCampaign(CampaignConfig(runs=15, base_seed=5))
-        result = campaign.run_tvca(leon3_rand(num_cores=1), TvcaApplication(SMALL_TVCA))
+        runner = CampaignRunner(CampaignConfig(runs=15, base_seed=5))
+        result = runner.run(
+            TvcaWorkload(app=TvcaApplication(SMALL_TVCA)), leon3_rand(num_cores=1)
+        )
         assert result.samples.num_paths >= 1
         assert sum(result.samples.counts().values()) == 15
 
@@ -68,8 +73,8 @@ class TestProgramCampaign:
     def test_kernel_campaign(self):
         prog = matmul_kernel(dim=4)
         image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=8))
-        result = campaign.run_program(leon3_rand(num_cores=1), prog, image)
+        runner = CampaignRunner(CampaignConfig(runs=8))
+        result = runner.run(ProgramWorkload(prog, image), leon3_rand(num_cores=1))
         assert result.num_runs == 8
         assert result.samples.num_paths == 1  # matmul has a single path
 
@@ -77,9 +82,9 @@ class TestProgramCampaign:
         seen = []
         prog = matmul_kernel(dim=4)
         image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=5))
-        campaign.run_program(
-            leon3_rand(num_cores=1), prog, image,
+        runner = CampaignRunner(CampaignConfig(runs=5))
+        runner.run(
+            ProgramWorkload(prog, image), leon3_rand(num_cores=1),
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
@@ -89,8 +94,8 @@ class TestProgramCampaign:
 
         prog = matmul_kernel(dim=4)
         image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=3))
-        result = campaign.run_program(leon3_rand(num_cores=1), prog, image)
+        runner = CampaignRunner(CampaignConfig(runs=3))
+        result = runner.run(ProgramWorkload(prog, image), leon3_rand(num_cores=1))
         assert all(isinstance(r, RunRecord) for r in result.run_details)
         assert [r.index for r in result.run_details] == [0, 1, 2]
 
@@ -102,10 +107,10 @@ class TestProgramCampaign:
             body=[If("c", lambda env: env["f"], [Block([alu(5)])], [Block([alu(1)])])],
         )
         image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=10))
-        result = campaign.run_program(
-            leon3_det(num_cores=1), prog, image,
-            env_fn=lambda i: {"f": i % 2 == 0},
+        runner = CampaignRunner(CampaignConfig(runs=10))
+        result = runner.run(
+            ProgramWorkload(prog, image, env_fn=lambda seed: {"f": seed % 2 == 0}),
+            leon3_det(num_cores=1),
         )
         assert result.samples.num_paths == 2
 

@@ -7,8 +7,9 @@ observations, the MBTA comparison and the DET/RAND average parity.
 
 import pytest
 
+from repro.api import CampaignRunner, TvcaWorkload
 from repro.core import MBPTAAnalysis, MBPTAConfig
-from repro.harness import CampaignConfig, MeasurementCampaign, compare_det_rand
+from repro.harness import CampaignConfig, compare_det_rand
 from repro.platform import leon3_det, leon3_rand
 from repro.workloads.tvca import TvcaApplication, TvcaConfig
 
@@ -23,8 +24,10 @@ RUNS = 150
 @pytest.fixture(scope="module")
 def rand_campaign():
     app = TvcaApplication(APP_CONFIG)
-    campaign = MeasurementCampaign(CampaignConfig(runs=RUNS, base_seed=20170327))
-    return campaign.run_tvca(leon3_rand(num_cores=1, cache_kb=CACHE_KB), app)
+    runner = CampaignRunner(CampaignConfig(runs=RUNS, base_seed=20170327))
+    return runner.run(
+        TvcaWorkload(app=app), leon3_rand(num_cores=1, cache_kb=CACHE_KB)
+    )
 
 
 @pytest.fixture(scope="module")

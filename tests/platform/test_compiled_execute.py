@@ -109,7 +109,6 @@ def platform_configs(draw):
             page_policy=draw(st.sampled_from(["closed", "open"])),
             refresh_interval_cycles=draw(st.sampled_from([0, 97])),
         ),
-        prng_mode=draw(st.sampled_from(["exact", "fast-parity"])),
     )
 
 

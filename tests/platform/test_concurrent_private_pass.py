@@ -82,7 +82,6 @@ def private_configs(draw):
         num_cores=num_cores,
         core=CoreConfig(icache=cache, dcache=cache, itlb=tlb, dtlb=tlb),
         bus=BusConfig(num_masters=num_cores),
-        prng_mode=draw(st.sampled_from(["exact", "fast-parity"])),
     )
 
 
@@ -138,13 +137,6 @@ def _hammers(num_cores, length=120):
         core_id: memory_hammer_trace(length, 300 + core_id, core_id)
         for core_id in range(1, num_cores)
     }
-
-
-def test_fast_parity_prng_mode():
-    traces = {0: build_trace(5, 400, data_span=200), **_hammers(4)}
-    assert_matches_scalar(
-        lambda: leon3_rand(cache_kb=1, prng_mode="fast-parity"), traces, SEEDS
-    )
 
 
 def test_empty_analysis_trace():

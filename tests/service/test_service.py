@@ -76,6 +76,18 @@ class TestPlumbing:
         with pytest.raises(ServiceError, match="unknown workload"):
             client._json("POST", "/campaigns", {"workload": "nope"})
 
+    def test_removed_draw_mode_400(self, client):
+        payload = small_request().to_dict()
+        payload["prng_mode"] = "fast-parity"
+        with pytest.raises(ServiceError, match="HTTP 400: .*was removed"):
+            client._json("POST", "/campaigns", payload)
+
+    def test_exact_draw_mode_key_is_accepted(self, client):
+        payload = small_request(analysis=None).to_dict()
+        payload["prng_mode"] = "exact"
+        response = client._json("POST", "/campaigns", payload)
+        client.wait(response["job"]["id"], timeout=120)
+
     def test_artifact_before_done_409(self, server, client):
         # Submit directly to the queue-less dispatch so no worker races:
         # a queued job's artifact must 409 with the state in the body.
@@ -161,34 +173,19 @@ class TestEndToEnd:
         assert counters["cache_hits_total"] == 1
         assert counters["cache_misses_total"] == 1
 
-    def test_run_counter_carries_backend_and_prng_mode(self, client):
-        client.run(small_request(), timeout=120)
-        client.run(small_request(prng_mode="fast-parity"), timeout=120)
+    def test_run_counter_is_keyed_by_backend(self, client):
+        client.run(small_request(backend="scalar"), timeout=120)
+        client.run(small_request(base_seed=6, backend="batch"), timeout=120)
         counters = client.metrics()["counters"]
-        modes = {
-            name.rsplit(".", 1)[-1]: count
+        executed = {
+            name: count
             for name, count in counters.items()
             if name.startswith("runs_executed_total.")
         }
-        assert modes.get("exact") == 1
-        assert modes.get("fast-parity") == 1
-
-    def test_prng_mode_variant_is_not_a_cache_hit(self, client):
-        # Unlike shards/backend, the draw mode changes the execution
-        # digest — the store must NOT serve a fast-parity request from
-        # an exact-mode artifact.
-        client.run(small_request(), timeout=120)
-        snapshot = client.submit(small_request(prng_mode="fast-parity"))
-        job_id = snapshot["job"]["id"]
-        client.wait(job_id, timeout=60)
-        assert client.job(job_id)["cached"] is False
-        counters = client.metrics()["counters"]
-        executed = sum(
-            count
-            for name, count in counters.items()
-            if name.startswith("runs_executed_total.")
-        )
-        assert executed == 2
+        assert executed == {
+            "runs_executed_total.scalar": 1,
+            "runs_executed_total.batch": 1,
+        }
 
     def test_provenance_variant_is_cache_hit(self, client):
         # Different shards/backend, same execution digest: no re-run.
