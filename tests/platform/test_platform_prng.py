@@ -2,15 +2,16 @@
 and bit-for-bit parity of the batch engine's lane generator with it.
 
 * **Distribution** — :class:`CombinedLfsrPrng` draws are uniform
-  (chi-square / KS / bit balance).  Every draw below is a pure function
-  of the literal seeds, so the gates are deterministic.
+  (chi-square / KS / bit balance) and its bit stream passes the
+  FIPS-style health battery.  Every draw below is a pure function of
+  the literal seeds, so the gates are deterministic.
 * **Vector parity** — the batch engine's lane generator (``_VecPrng``)
   replays the scalar generator bit-for-bit, whether lanes are advanced
   through boolean masks or through index lists (the two call forms the
   engine mixes freely).
 
-The FIPS-style health battery on the same generator lives in
-``test_prng.py``.
+``test_prng.py`` runs the same health battery from a different seed,
+next to the unit tests of the individual health checks.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.platform.batch import numpy_available
-from repro.platform.prng import CombinedLfsrPrng
+from repro.platform.prng import CombinedLfsrPrng, run_health_tests
 
 
 class TestDistribution:
@@ -55,6 +56,12 @@ class TestDistribution:
         for bit, count in enumerate(ones):
             # 5-sigma window around n/2 for a fair coin.
             assert abs(count - n / 2) < 5 * (n * 0.25) ** 0.5, (bit, count)
+
+    def test_health_battery_passes(self):
+        results = run_health_tests(CombinedLfsrPrng(0x5EED), window_bits=20_000)
+        assert all(r.passed for r in results), [
+            (r.name, r.detail) for r in results if not r.passed
+        ]
 
 
 # ----------------------------------------------------------------------
