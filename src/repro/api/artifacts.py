@@ -34,7 +34,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> core)
     from ..core.analysis import AnalysisResult
@@ -56,6 +56,8 @@ __all__ = [
     "content_digest",
     "platform_fingerprint",
     "load_measurements",
+    "saved_text",
+    "splice_analysis",
 ]
 
 
@@ -80,6 +82,8 @@ def atomic_write_text(path: Path, text: str) -> Path:
     path = Path(path)
     handle = tempfile.NamedTemporaryFile(
         mode="w",
+        encoding="utf-8",
+        newline="",  # the bytes on disk are exactly text.encode()
         dir=path.parent,
         prefix=f".{path.name}.",
         suffix=".tmp",
@@ -107,8 +111,13 @@ def atomic_write_text(path: Path, text: str) -> Path:
 _PROVENANCE_CONFIG_KEYS = ("backend", "shards")
 
 
-def content_digest(payload: Dict[str, Any]) -> str:
-    """SHA-256 over the artifact's *measurement content*.
+def _canonical(value: Any) -> bytes:
+    """Sorted, compact JSON — the form content digests hash."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _content_bytes(payload: Dict[str, Any]) -> bytes:
+    """The canonical bytes :func:`content_digest` hashes.
 
     Canonical (sorted, compact) JSON of the payload without the
     ``digest`` field itself and without the provenance-only config keys
@@ -120,8 +129,13 @@ def content_digest(payload: Dict[str, Any]) -> str:
     for key in _PROVENANCE_CONFIG_KEYS:
         config.pop(key, None)
     reduced["config"] = config
-    canonical = json.dumps(reduced, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical(reduced)
+
+
+def content_digest(payload: Dict[str, Any]) -> str:
+    """SHA-256 over the artifact's *measurement content*
+    (see :func:`_content_bytes`)."""
+    return hashlib.sha256(_content_bytes(payload)).hexdigest()
 
 
 def analysis_summary(result: "AnalysisResult") -> Dict[str, Any]:
@@ -317,6 +331,10 @@ class CampaignArtifact:
         verifies it, so corruption anywhere between save and load
         surfaces as a typed :class:`ArtifactCorrupt`.
         """
+        return self._encode(indent)[0]
+
+    def _encode(self, indent: Optional[int]) -> Tuple[str, bytes]:
+        """The serialized text and the content bytes its digest hashes."""
         payload: Dict[str, Any] = {
             "schema": SCHEMA,
             "label": self.label,
@@ -330,8 +348,9 @@ class CampaignArtifact:
             payload["convergence"] = self.convergence.to_dict()
         if self.analysis is not None:
             payload["analysis"] = self.analysis
-        payload["digest"] = content_digest(payload)
-        return json.dumps(payload, indent=indent)
+        content = _content_bytes(payload)
+        payload["digest"] = hashlib.sha256(content).hexdigest()
+        return json.dumps(payload, indent=indent), content
 
     @classmethod
     def from_json(cls, payload: str) -> "CampaignArtifact":
@@ -347,6 +366,12 @@ class CampaignArtifact:
             raise ArtifactCorrupt(
                 f"artifact is not valid JSON (torn or truncated write?): {exc}"
             ) from None
+        return cls._from_dict(data)
+
+    @classmethod
+    def _from_dict(cls, data: Any) -> "CampaignArtifact":
+        """:meth:`from_json` after the JSON parse: schema check, digest
+        verification and field decoding of the parsed document."""
         if not isinstance(data, dict) or data.get("schema") != SCHEMA:
             schema = data.get("schema") if isinstance(data, dict) else None
             raise ValueError(f"not a campaign artifact (schema={schema!r})")
@@ -389,6 +414,47 @@ class CampaignArtifact:
     def load(cls, path: Union[str, Path]) -> "CampaignArtifact":
         """Read an artifact previously written by :meth:`save`."""
         return cls.from_json(Path(path).read_text())
+
+
+def saved_text(artifact: CampaignArtifact) -> Tuple[str, bytes]:
+    """The text :meth:`CampaignArtifact.save` writes — ``to_json(indent=2)``
+    plus a newline — and the canonical content bytes its digest hashes,
+    from one encode."""
+    text, content = artifact._encode(indent=2)
+    return text + "\n", content
+
+
+_DIGEST_TAIL = ',\n  "digest": "{}"\n}}\n'
+
+
+def splice_analysis(
+    saved: str, content: bytes, summary: Dict[str, Any]
+) -> str:
+    """Attach ``summary`` as the analysis section of a saved bare artifact.
+
+    ``saved`` and ``content`` are what :func:`saved_text` returned for
+    an artifact without analysis.  The result equals :func:`saved_text`
+    of the same artifact with ``summary`` attached, byte for byte, but
+    only ``summary`` is encoded: ``analysis`` is the last section
+    before the digest in the saved layout, and the first key of the
+    sorted canonical form the digest hashes.
+    """
+    if content.startswith(b'{"analysis":'):
+        raise ValueError("artifact already carries an analysis section")
+    tail = _DIGEST_TAIL.format(hashlib.sha256(content).hexdigest())
+    if not saved.endswith(tail):
+        raise ValueError("text is not the saved form of these contents")
+    digest = hashlib.sha256(b'{"analysis":' + _canonical(summary) + b",")
+    digest.update(memoryview(content)[1:])
+    section = json.dumps(summary, indent=2).replace("\n", "\n  ")
+    return "".join(
+        (
+            saved[: -len(tail)],
+            ',\n  "analysis": ',
+            section,
+            _DIGEST_TAIL.format(digest.hexdigest()),
+        )
+    )
 
 
 class ArtifactStore:
@@ -442,12 +508,11 @@ def load_measurements(
     (:meth:`PathSamples.to_json`), and legacy pooled samples
     (:meth:`ExecutionTimeSample.to_json`).
     """
-    payload = Path(path).read_text()
-    data = json.loads(payload)
+    data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a measurement file")
     if data.get("schema") == SCHEMA:
-        return CampaignArtifact.from_json(payload)
+        return CampaignArtifact._from_dict(data)
     if "paths" in data:
         return PathSamples.from_dict(data)
     if "values" in data:

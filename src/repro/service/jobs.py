@@ -31,10 +31,10 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..api.artifacts import ArtifactCorrupt, CampaignArtifact
+from ..api.artifacts import ArtifactCorrupt, analysis_summary, splice_analysis
 from ..api.requests import CampaignRequest, execute_request
 from .metrics import ServiceMetrics
-from .store import PersistentStore
+from .store import PersistentStore, VerifiedFile
 
 __all__ = ["Job", "JobQueue"]
 
@@ -176,8 +176,8 @@ class JobQueue:
         with self._lock:
             job.state = "running"
         try:
-            text = self._materialize(job)
-            self.store.save_job_artifact(job.job_id, text)
+            text, verified = self._materialize(job)
+            self.store.save_job_artifact(job.job_id, text, verified)
             with self._lock:
                 job.state = "done"
             self.metrics.incr("jobs_completed_total")
@@ -193,58 +193,69 @@ class JobQueue:
                 self._inflight.pop(job.request.digest(), None)
             job.finished.set()
 
-    def _materialize(self, job: Job) -> str:
-        """The job's response artifact text (cache hit or fresh run)."""
-        bare = self._cached_campaign(job.execution_digest)
-        if bare is not None:
+    def _materialize(self, job: Job) -> Tuple[str, VerifiedFile]:
+        """The job's response artifact text (cache hit or fresh run).
+
+        Both paths build it from the bare campaign text the store
+        holds, splicing in the analysis section — the campaign itself
+        is encoded at most once, when it is first measured.
+        """
+        cached = self._cached_campaign(job.execution_digest)
+        if cached is not None:
+            text, verified = cached
             with self._lock:
                 job.cached = True
-                job.progress_done = bare.num_runs
-                job.progress_total = bare.num_runs
+                job.progress_done = verified.num_runs
+                job.progress_total = verified.num_runs
             self.metrics.incr("cache_hits_total")
-            artifact = self._attach_requested_analysis(job.request, bare)
-            return artifact.to_json(indent=2) + "\n"
-        self.metrics.incr("cache_misses_total")
+            summary = self._requested_analysis(job.request, verified)
+        else:
+            self.metrics.incr("cache_misses_total")
 
-        def progress(done: int, total: int) -> None:
-            with self._lock:
-                job.progress_done = done
-                job.progress_total = total
+            def progress(done: int, total: int) -> None:
+                with self._lock:
+                    job.progress_done = done
+                    job.progress_total = total
 
-        execution = execute_request(job.request, progress=progress)
-        artifact = execution.artifact()
-        self.metrics.incr(f"runs_executed_total.{execution.result.backend}")
-        self.store.save_campaign(job.execution_digest, artifact)
-        return artifact.to_json(indent=2) + "\n"
+            execution = execute_request(job.request, progress=progress)
+            artifact = execution.artifact()
+            self.metrics.incr(f"runs_executed_total.{execution.result.backend}")
+            text, verified = self.store.save_campaign(
+                job.execution_digest, artifact
+            )
+            summary = artifact.analysis
+        if summary is not None:
+            text = splice_analysis(text, verified.content, summary)
+        return text, verified
 
-    def _cached_campaign(self, digest: str) -> Optional[CampaignArtifact]:
+    def _cached_campaign(
+        self, digest: str
+    ) -> Optional[Tuple[str, VerifiedFile]]:
         """The stored bare campaign, or None (corruption = cache miss)."""
         if not self.store.has_campaign(digest):
             return None
         try:
-            return self.store.load_campaign(digest)
+            return self.store.load_campaign_text(digest)
         except ArtifactCorrupt:
             self.metrics.incr("store_corrupt_total")
             return None
 
     @staticmethod
-    def _attach_requested_analysis(
-        request: CampaignRequest, artifact: CampaignArtifact
-    ) -> CampaignArtifact:
-        """Recompute the requested analysis on cached measurements.
+    def _requested_analysis(
+        request: CampaignRequest, verified: VerifiedFile
+    ) -> Optional[Dict[str, Any]]:
+        """Recompute the requested analysis summary on cached measurements.
 
         Deterministic: the same request over the same samples yields
         the same summary the fresh-run path embeds, keeping cache-hit
         artifacts bit-identical to freshly executed ones.
         """
         if request.analysis is None:
-            return artifact
+            return None
         from ..core.analysis import AnalysisPipeline
 
-        config = request.analysis.analysis_config(artifact.num_runs)
-        result = AnalysisPipeline(config).run(artifact.samples)
-        artifact.attach_analysis(result)
-        return artifact
+        config = request.analysis.analysis_config(verified.num_runs)
+        return analysis_summary(AnalysisPipeline(config).run(verified.samples))
 
     # -- shutdown -------------------------------------------------------
     def close(self, timeout: Optional[float] = None) -> None:

@@ -164,20 +164,20 @@ class CampaignService:
         """Re-analyse a finished campaign without re-running it."""
         from ..core.analysis import AnalysisPipeline
 
-        from ..api.artifacts import CampaignArtifact, analysis_summary
+        from ..api.artifacts import analysis_summary
 
         if job.state != "done":
             raise _HTTPError(
                 409, f"{job.job_id} is {job.state}; poll until done"
             )
         analysis = self._parse(body or "{}", AnalysisRequest.from_dict)
-        text = self.store.load_job_artifact_text(job.job_id)
-        if text is None:
+        loaded = self.store.load_job_artifact(job.job_id)
+        if loaded is None:
             raise _HTTPError(404, f"{job.job_id} has no stored artifact")
-        artifact = CampaignArtifact.from_json(text)
-        config = analysis.analysis_config(artifact.num_runs)
+        _, stored = loaded
+        config = analysis.analysis_config(stored.num_runs)
         try:
-            result = AnalysisPipeline(config).run(artifact.samples)
+            result = AnalysisPipeline(config).run(stored.samples)
         except (ValueError, RuntimeError) as exc:
             raise _HTTPError(422, f"analysis failed: {exc}") from None
         self.metrics.incr("analyses_total")

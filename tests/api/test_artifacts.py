@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import (
+    ArtifactCorrupt,
     ArtifactStore,
     CampaignArtifact,
     CampaignConfig,
@@ -108,6 +109,30 @@ class TestLoadMeasurements:
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"nope": 1}))
         with pytest.raises(ValueError):
+            load_measurements(path)
+
+    def test_parses_artifact_once(self, campaign, tmp_path, monkeypatch):
+        _, artifact = campaign
+        path = artifact.save(tmp_path / "a.json")
+        calls = []
+        real_loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        loaded = load_measurements(path)
+        assert len(calls) == 1
+        assert loaded.to_json() == artifact.to_json()
+
+    def test_corrupt_artifact_is_typed(self, campaign, tmp_path):
+        _, artifact = campaign
+        data = json.loads(artifact.to_json())
+        data["records"][0]["cycles"] += 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ArtifactCorrupt, match="content digest mismatch"):
             load_measurements(path)
 
 

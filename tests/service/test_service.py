@@ -318,6 +318,27 @@ class TestStoreSharing:
         client.wait(job_id, timeout=60)
         assert client.job(job_id)["cached"] is True
         assert client.artifact_text(job_id) == text
+        # A different analysis on the restarted daemon: spliced into the
+        # stored bytes it verified cold, equal to an in-process run.
+        banded = small_request(
+            base_seed=99,
+            analysis=AnalysisRequest(
+                method="pot-gpd", ci=0.9, bootstrap=40, min_path_samples=80
+            ),
+        )
+        job_id = client.submit(banded)["job"]["id"]
+        client.wait(job_id, timeout=60)
+        assert client.job(job_id)["cached"] is True
+        local = execute_request(banded)
+        assert client.artifact_text(job_id) == (
+            local.artifact().to_json(indent=2) + "\n"
+        )
+        remote = client.analyse(job_id, AnalysisRequest(min_path_samples=80))
+        config = AnalysisRequest(min_path_samples=80).analysis_config(90)
+        expected = analysis_summary(
+            AnalysisPipeline(config).run(local.result.samples)
+        )
+        assert remote["analysis"] == json.loads(json.dumps(expected))
         counters = client.metrics()["counters"]
         executed = sum(
             count
@@ -325,6 +346,7 @@ class TestStoreSharing:
             if name.startswith("runs_executed_total.")
         )
         assert executed == 0
+        assert "store_corrupt_total" not in counters
         second.shutdown()
         thread.join(timeout=10)
 
@@ -346,3 +368,23 @@ class TestStoreSharing:
         assert client.artifact_text(job_id) == text
         counters = client.metrics()["counters"]
         assert counters["store_corrupt_total"] == 1
+
+    def test_non_canonical_store_entry_is_counted_miss(self, server, client):
+        # Verifies (the digest matches), but is not the layout the store
+        # writes, so no analysis can be spliced into it: re-measured once.
+        request = small_request(base_seed=124)
+        text = client.run(request, timeout=120)
+        store = server.service.store
+        path = store.campaigns.root / f"{request.execution_digest()}.json"
+        path.write_text(json.dumps(json.loads(path.read_text())))
+
+        job_id = client.submit(request)["job"]["id"]
+        client.wait(job_id, timeout=120)
+        assert client.job(job_id)["cached"] is False
+        assert client.artifact_text(job_id) == text
+        assert client.metrics()["counters"]["store_corrupt_total"] == 1
+        # The re-measure rewrote the canonical text: the next one hits.
+        job_id = client.submit(request)["job"]["id"]
+        client.wait(job_id, timeout=120)
+        assert client.job(job_id)["cached"] is True
+        assert client.artifact_text(job_id) == text
