@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import CampaignRunner, TvcaWorkload, create_platform
-from repro.core import MBPTAAnalysis, MBPTAConfig
+from repro.core import AnalysisConfig, AnalysisPipeline
 from repro.harness import CampaignConfig
 from repro.workloads.tvca import TvcaApplication, TvcaConfig
 
@@ -108,8 +108,8 @@ def det_campaign(app):
 @pytest.fixture(scope="session")
 def mbpta_result(rand_campaign):
     """The MBPTA analysis of the randomized-platform campaign."""
-    config = MBPTAConfig(
+    config = AnalysisConfig(
         min_path_samples=max(120, RAND_RUNS // 8),
         check_convergence=False,
     )
-    return MBPTAAnalysis(config).analyse(rand_campaign.samples)
+    return AnalysisPipeline(config).run(rand_campaign.samples)

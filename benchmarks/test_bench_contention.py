@@ -10,7 +10,8 @@ import os
 
 from conftest import BASE_SEED, SHARDS, emit
 
-from repro.harness import compare_scenarios
+from repro.api import CampaignRequest
+from repro.harness import compare_scenarios_request
 from repro.viz import contention_csv, contention_panel
 
 RUNS = int(os.environ.get("REPRO_BENCH_CONTENTION_RUNS", "300"))
@@ -23,15 +24,15 @@ SCENARIOS = (
 
 
 def test_contention_scenario_sweep():
-    comparison = compare_scenarios(
-        "table-walk",
-        scenarios=SCENARIOS,
-        platform_name="rand",
+    base_request = CampaignRequest(
+        workload="table-walk",
+        platform="rand",
         runs=RUNS,
         base_seed=BASE_SEED,
         shards=SHARDS,
         platform_kwargs={"num_cores": 4, "cache_kb": 4},
     )
+    comparison = compare_scenarios_request(base_request, scenarios=SCENARIOS)
     summary = comparison.summary(cutoff=1e-9)
     assert all("pwcet" in row for row in summary.values())
 

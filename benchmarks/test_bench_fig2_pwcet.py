@@ -9,7 +9,7 @@ curve + observations as an ASCII panel and CSV, and asserts the
 upper-bounding and tightness properties.
 """
 
-from repro.core import MBPTAAnalysis, MBPTAConfig
+from repro.core import AnalysisConfig, AnalysisPipeline
 from repro.viz import figure2_csv, figure2_panel
 
 from conftest import emit
@@ -19,10 +19,10 @@ def test_bench_fig2_pwcet_curve(benchmark, rand_campaign, mbpta_result):
     samples = rand_campaign.samples
 
     def fit():
-        config = MBPTAConfig(
+        config = AnalysisConfig(
             min_path_samples=120, check_convergence=False
         )
-        return MBPTAAnalysis(config).analyse(samples)
+        return AnalysisPipeline(config).run(samples)
 
     result = benchmark.pedantic(fit, rounds=1, iterations=1)
 

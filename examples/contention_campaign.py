@@ -28,7 +28,8 @@ the samples are bit-identical to ``--backend scalar``.
 
 import argparse
 
-from repro.harness import compare_scenarios
+from repro.api import CampaignRequest
+from repro.harness import compare_scenarios_request
 from repro.viz import contention_panel
 
 SCENARIOS = (
@@ -54,17 +55,17 @@ def main() -> None:
     print(f"sweeping {len(SCENARIOS)} scenarios x {runs} runs "
           f"(table-walk on the 4-core RAND platform, "
           f"backend={args.backend}) ...")
-    comparison = compare_scenarios(
-        "table-walk",
-        scenarios=SCENARIOS,
-        platform_name="rand",
+    base_request = CampaignRequest(
+        workload="table-walk",
+        platform="rand",
         runs=runs,
         base_seed=2017,
-        shards=4,
-        platform_kwargs={"num_cores": 4, "cache_kb": 4},
-        backend=args.backend,
         vary_inputs=False,
+        shards=4,
+        backend=args.backend,
+        platform_kwargs={"num_cores": 4, "cache_kb": 4},
     )
+    comparison = compare_scenarios_request(base_request, scenarios=SCENARIOS)
 
     summary = comparison.summary(cutoff=1e-9)
 

@@ -7,20 +7,20 @@ prints the Figure-3 comparison: average-performance bars, the DET
 high-watermark + 50% engineering factor (industrial MBTA), and the
 MBPTA pWCET estimates at cutoffs 1e-6 .. 1e-15.
 
-Both campaigns run through the unified :mod:`repro.api` runner and can
-be sharded across processes — sharding never changes an observation
+Both campaigns are :class:`~repro.api.CampaignRequest` objects that
+differ only in the platform; they can be sharded across processes — sharding never changes an observation
 (deterministic by-run-index merge), only the wall-clock time.
 
 Run:  python examples/det_vs_rand.py [runs] [shards]
 """
 
 import sys
+from dataclasses import replace
 
-from repro.api import create_platform
-from repro.core import MBPTAAnalysis, MBPTAConfig, mbta_bound
-from repro.harness import compare_det_rand
+from repro.api import CampaignRequest
+from repro.core import mbta_bound
+from repro.harness import compare_requests
 from repro.viz import figure3_panel
-from repro.workloads.tvca import TvcaConfig
 
 
 def main() -> None:
@@ -29,25 +29,28 @@ def main() -> None:
 
     print(f"running {runs} TVCA executions on DET and on RAND "
           f"({shards} shard(s)) ...")
-    comparison = compare_det_rand(
+    det_request = CampaignRequest(
+        workload="tvca",
+        platform="det",
         runs=runs,
         base_seed=2017,
-        app_config=TvcaConfig(estimator_dim=20, aero_window=32),
-        det_platform=create_platform("det", num_cores=1, cache_kb=4),
-        rand_platform=create_platform("rand", num_cores=1, cache_kb=4),
+        shards=shards,
+        workload_kwargs={"estimator_dim": 20, "aero_window": 32},
+        platform_kwargs={"num_cores": 1, "cache_kb": 4},
+    )
+    comparison = compare_requests(
+        det_request,
+        replace(det_request, platform="rand"),
         progress=lambda name, done, total: (
             print(f"  {name}: {done}/{total}") if done % max(total // 4, 1) == 0 else None
         ),
-        shards=shards,
     )
 
     det = comparison.det_sample
     rand = comparison.rand_sample
     mbta = mbta_bound(det.values, engineering_factor=0.50)
 
-    analysis = MBPTAAnalysis(
-        MBPTAConfig(min_path_samples=max(120, runs // 2), check_convergence=False)
-    ).analyse(comparison.rand.samples)
+    analysis = comparison.analyse_rand()
     pwcet_rows = analysis.pwcet_table()
 
     print()

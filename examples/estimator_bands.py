@@ -19,15 +19,17 @@ Run:  python examples/estimator_bands.py [runs]
 
 import sys
 
-from repro.api import run_campaign
+from repro.api import CampaignRequest, CampaignRunner
 from repro.core import AnalysisConfig, AnalysisPipeline
 
 
 def main() -> None:
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 600
-    result = run_campaign(
-        "synthetic-cache", "rand", runs=runs,
-        platform_kwargs={"num_cores": 1, "cache_kb": 4},
+    result = CampaignRunner.run_request(
+        CampaignRequest(
+            workload="synthetic-cache", platform="rand", runs=runs,
+            platform_kwargs={"num_cores": 1, "cache_kb": 4},
+        )
     )
 
     cutoff = 1e-12

@@ -2,7 +2,7 @@
 """Quickstart: MBPTA on a synthetic execution-time campaign.
 
 The fastest way to see the pipeline end to end through the unified
-:mod:`repro.api` facade: run a campaign of the registered
+:mod:`repro.api` request surface: run a campaign of the registered
 ``synthetic-cache`` workload (a known randomized-cache-like model — no
 platform simulation involved), then run the i.i.d. gate, fit the EVT
 tail and print the pWCET table.
@@ -10,16 +10,16 @@ tail and print the pWCET table.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import run_campaign
-from repro.core import MBPTAAnalysis, MBPTAConfig, mbta_bound
+from repro.api import CampaignRequest, CampaignRunner
+from repro.core import AnalysisConfig, AnalysisPipeline, mbta_bound
 
 
 def main() -> None:
     # 2,000 runs of a program whose misses follow a randomized cache:
     # each of 200 lines misses independently with p=0.05 at 25 cycles.
-    result = run_campaign(
-        "synthetic-cache",
-        "rand",
+    request = CampaignRequest(
+        workload="synthetic-cache",
+        platform="rand",
         runs=2000,
         base_seed=42,
         shards=4,
@@ -29,10 +29,11 @@ def main() -> None:
         ),
         platform_kwargs=dict(num_cores=1),
     )
+    result = CampaignRunner.run_request(request)
     values = result.merged.values
 
-    analysis = MBPTAAnalysis(MBPTAConfig(check_convergence=True))
-    mbpta = analysis.analyse(result.samples, label="quickstart")
+    analysis = AnalysisPipeline(AnalysisConfig(check_convergence=True))
+    mbpta = analysis.run(result.samples, label="quickstart")
 
     print(mbpta.report())
 

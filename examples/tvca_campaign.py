@@ -7,7 +7,7 @@ paper — flush caches, reset the platform, new PRNG seed per run — then
 applies the full MBPTA pipeline and prints the analysis report plus a
 Figure-2-style pWCET panel.
 
-The campaign goes through the unified :mod:`repro.api` facade: the TVCA
+The campaign goes through the unified :mod:`repro.api` runner: the TVCA
 workload and the platform are registry entries, the campaign runs in
 parallel shards (bit-identical to a serial run), and the complete
 result — per-path samples, seeds, platform fingerprint — is persisted
@@ -31,7 +31,7 @@ from repro.api import (
     create_platform,
     create_workload,
 )
-from repro.core import MBPTAAnalysis, MBPTAConfig
+from repro.core import AnalysisConfig
 from repro.viz import figure2_panel
 
 
@@ -72,9 +72,9 @@ def main() -> None:
     out = artifact.save("tvca_campaign.json")
     print(f"campaign artifact written to {out}")
 
-    analysis = MBPTAAnalysis(
-        MBPTAConfig(min_path_samples=max(120, runs // 3), check_convergence=runs >= 400)
-    ).analyse(CampaignArtifact.load(out).samples)
+    analysis = CampaignArtifact.load(out).analyse(
+        AnalysisConfig(min_path_samples=max(120, runs // 3), check_convergence=runs >= 400)
+    )
     print()
     print(analysis.report())
 

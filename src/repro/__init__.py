@@ -25,11 +25,12 @@ Space Domain" (DATE 2017):
 
 Quickstart::
 
-    from repro.api import run_campaign
-    from repro.core import MBPTAAnalysis
+    from repro.api import CampaignRequest, CampaignRunner
+    from repro.core import AnalysisPipeline
 
-    result = run_campaign("tvca", "rand", runs=300, shards=4)
-    analysis = MBPTAAnalysis().analyse(result.samples)
+    request = CampaignRequest(workload="tvca", platform="rand", runs=300, shards=4)
+    result = CampaignRunner.run_request(request)
+    analysis = AnalysisPipeline().run(result.samples)
     print(analysis.report())
 """
 

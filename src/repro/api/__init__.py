@@ -7,18 +7,20 @@ scenario is a registry entry instead of a new driver method.
 
 Quickstart::
 
-    from repro.api import run_campaign, CampaignArtifact
+    from repro.api import CampaignArtifact, CampaignRequest, execute_request
 
-    result = run_campaign("tvca", "rand", runs=300, shards=4,
-                          platform_kwargs={"num_cores": 1, "cache_kb": 4})
-    artifact = CampaignArtifact.from_result(result)
-    artifact.save("campaign.json")
+    request = CampaignRequest(
+        workload="tvca", platform="rand", runs=300, shards=4,
+        platform_kwargs={"num_cores": 1, "cache_kb": 4},
+    )
+    execute_request(request).artifact().save("campaign.json")
     print(CampaignArtifact.load("campaign.json").analyse().report())
+
+Live :class:`Workload`/:class:`Platform` objects go through
+``CampaignRunner(CampaignConfig(...)).run(workload, platform)``.
 """
 
 from __future__ import annotations
-
-from typing import Any, Callable, Dict, Optional, Union
 
 from ..core.convergence import (
     CampaignConvergenceSummary,
@@ -26,7 +28,6 @@ from ..core.convergence import (
 )
 from ..harness.campaign import CampaignConfig, CampaignResult
 from ..harness.records import RunRecord
-from ..platform.soc import Platform
 from .artifacts import (
     ArtifactCorrupt,
     ArtifactStore,
@@ -115,74 +116,9 @@ __all__ = [
     "register_workload",
     "registry_schema",
     "resolve_backend",
-    "run_campaign",
     "scenario_description",
     "scenario_names",
     "seeded_env_fn",
     "workload_names",
 ]
 
-
-def run_campaign(
-    workload: Union[str, Workload],
-    platform: Union[str, Platform],
-    runs: int = 300,
-    base_seed: int = 2017,
-    vary_inputs: bool = True,
-    shards: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
-    workload_kwargs: Optional[Dict[str, Any]] = None,
-    platform_kwargs: Optional[Dict[str, Any]] = None,
-    until_converged: bool = False,
-    convergence: Optional[ConvergencePolicy] = None,
-    backend: str = "auto",
-) -> CampaignResult:
-    """One-call facade: resolve, run, return the campaign result.
-
-    Deprecated kwarg shim over the request-object surface: when
-    ``workload`` and ``platform`` are registry names the call builds a
-    :class:`CampaignRequest` and executes it via
-    :meth:`CampaignRunner.run_request` — new code should construct the
-    request directly.  Live :class:`Workload`/:class:`Platform` objects
-    (not expressible as plain data) keep the historical in-place path;
-    ``*_kwargs`` are rejected alongside objects, as passing both is
-    almost certainly a bug.
-
-    ``until_converged=True`` (or an explicit ``convergence`` policy)
-    makes the campaign adaptive: it stops once the MBPTA convergence
-    criterion holds, with ``runs`` as the cap.
-
-    ``backend`` selects the execution backend (scalar interpreter vs
-    vectorized batching; default ``"auto"``) — bit-identical results
-    either way.
-    """
-    if until_converged and convergence is None:
-        convergence = ConvergencePolicy()
-    if isinstance(workload, str) and isinstance(platform, str):
-        request = CampaignRequest(
-            workload=workload,
-            platform=platform,
-            runs=runs,
-            base_seed=base_seed,
-            vary_inputs=vary_inputs,
-            shards=shards,
-            backend=backend,
-            workload_kwargs=dict(workload_kwargs or {}),
-            platform_kwargs=dict(platform_kwargs or {}),
-            convergence=convergence,
-        )
-        return CampaignRunner.run_request(request, progress=progress)
-    if isinstance(workload, str):
-        workload = create_workload(workload, **(workload_kwargs or {}))
-    elif workload_kwargs:
-        raise ValueError("workload_kwargs requires a registry name")
-    if isinstance(platform, str):
-        platform = create_platform(platform, **(platform_kwargs or {}))
-    elif platform_kwargs:
-        raise ValueError("platform_kwargs requires a registry name")
-    runner = CampaignRunner(
-        CampaignConfig(runs=runs, base_seed=base_seed, vary_inputs=vary_inputs),
-        shards=shards,
-        backend=backend,
-    )
-    return runner.run(workload, platform, progress=progress, convergence=convergence)

@@ -5,7 +5,7 @@ one measurement campaign: per-path samples (full fidelity — saving no
 longer pools paths into one sample), every :class:`RunRecord` with its
 seeds, the campaign configuration, and a platform fingerprint.  It
 round-trips through JSON and feeds
-:meth:`repro.core.mbpta.MBPTAAnalysis.analyse` directly, so a saved
+:meth:`repro.core.analysis.AnalysisPipeline.run` directly, so a saved
 campaign can be re-analysed later — with per-path grouping intact —
 without re-running a single simulation.
 
@@ -37,8 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> core)
-    from ..core.analysis import AnalysisResult
-    from ..core.mbpta import MBPTAConfig
+    from ..core.analysis import AnalysisConfig, AnalysisResult
 
 from ..core.convergence import CampaignConvergenceSummary
 from ..harness.campaign import CampaignConfig, CampaignResult
@@ -269,13 +268,13 @@ class CampaignArtifact:
 
     # -- analysis ------------------------------------------------------
     def analyse(
-        self, analysis_config: Optional["MBPTAConfig"] = None
+        self, analysis_config: Optional["AnalysisConfig"] = None
     ) -> "AnalysisResult":
         """Run the MBPTA pipeline on the stored per-path samples."""
-        from ..core.mbpta import MBPTAAnalysis, MBPTAConfig
+        from ..core.analysis import AnalysisConfig, AnalysisPipeline
 
-        analysis = MBPTAAnalysis(analysis_config or MBPTAConfig())
-        return analysis.analyse(self.samples, label=self.label)
+        pipeline = AnalysisPipeline(analysis_config or AnalysisConfig())
+        return pipeline.run(self.samples, label=self.label)
 
     def attach_analysis(self, result: "AnalysisResult") -> None:
         """Record an analysis summary (estimator, bands, fit quality).

@@ -1,9 +1,8 @@
 """The unified request-object API surface.
 
 Every way of asking for a measurement campaign — the CLI, the
-:func:`repro.api.run_campaign` facade, the experiment drivers, and the
-campaign service's HTTP API — now speaks the same two frozen config
-objects:
+library, the experiment drivers, and the campaign service's HTTP API —
+speaks the same two frozen config objects:
 
 * :class:`CampaignRequest` — *what to measure*: workload, platform,
   contention scenario (all registry names plus factory kwargs), run
@@ -436,7 +435,7 @@ def execute_request(
     request: CampaignRequest, progress: Optional[Progress] = None
 ) -> CampaignExecution:
     """Run ``request`` in-process — the single driver behind every
-    entry point (CLI, facade, experiment drivers, campaign service).
+    entry point (CLI, library, experiment drivers, campaign service).
 
     Resolves the registries, executes via
     :class:`~repro.api.runner.CampaignRunner` (honouring shards,

@@ -287,7 +287,7 @@ class CampaignRunner:
         The request-object form of :meth:`run`: resolves the workload,
         platform and scenario against the registries and honours the
         request's shards, backend and convergence policy.  Every entry
-        point (CLI, facade, experiment drivers, campaign service)
+        point (CLI, library, experiment drivers, campaign service)
         funnels through this, so identical requests yield identical
         campaigns everywhere.
         """

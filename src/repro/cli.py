@@ -92,7 +92,6 @@ from .api import (
 )
 from .api.artifacts import atomic_write_text
 from .core import (
-    AnalysisConfig,
     AnalysisPipeline,
     AnalysisResult,
     ConvergencePolicy,
@@ -160,26 +159,6 @@ def _campaign_request(
         platform_kwargs=_platform_kwargs(args),
         convergence=_policy(args),
         analysis=_analysis_request(args) if with_analysis else None,
-    )
-
-
-def _analysis_config(
-    args: argparse.Namespace, min_path_samples: int = 120
-) -> AnalysisConfig:
-    """The pipeline configuration requested on the command line.
-
-    Commands that run a campaign before analysing call this *first*
-    (with the default ``min_path_samples``) so a bad ``--ci`` or
-    ``--bootstrap`` knob exits 2 before any run is burned — the same
-    validate-before-running contract the adaptive-campaign knobs follow.
-    """
-    return AnalysisConfig(
-        method=args.method,
-        min_path_samples=min_path_samples,
-        check_convergence=False,
-        ci=args.ci,
-        bootstrap=args.bootstrap,
-        bootstrap_kind=args.bootstrap_kind,
     )
 
 
@@ -278,7 +257,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyse(args: argparse.Namespace) -> int:
-    _analysis_request(args)  # validate analysis knobs before any run
+    analysis_request = _analysis_request(args)  # validates before any run
     artifact = None
     if args.sample:
         loaded = load_measurements(args.sample)
@@ -293,7 +272,6 @@ def cmd_analyse(args: argparse.Namespace) -> int:
                 if hasattr(data, "counts")
                 else len(data)
             )
-        min_path = max(120, n // 3)
         if artifact is not None and artifact.convergence is not None:
             print(f"{artifact.label}:")
             _print_convergence(artifact.convergence)
@@ -305,7 +283,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
             _remote_artifact_text(args, request)
         )
         data = artifact.samples
-        min_path = max(120, artifact.num_runs // 3)
+        n = artifact.num_runs
         if artifact.convergence is not None:
             print(f"{artifact.label}:")
             _print_convergence(artifact.convergence)
@@ -314,13 +292,13 @@ def cmd_analyse(args: argparse.Namespace) -> int:
         execution = execute_request(request)
         result = execution.result
         data = result.samples
-        min_path = max(120, result.num_runs // 3)
+        n = result.num_runs
         if result.convergence is not None:
             print(f"{result.label}:")
             _print_convergence(result.convergence)
         if args.out:
             artifact = execution.artifact()
-    analysis = AnalysisPipeline(_analysis_config(args, min_path)).run(data)
+    analysis = AnalysisPipeline(analysis_request.analysis_config(n)).run(data)
     print(analysis.report())
     if args.cutoff:
         print(f"\npWCET@{args.cutoff:g} = {analysis.quantile(args.cutoff):.0f}")
@@ -359,8 +337,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     det = comparison.det_sample
     rand = comparison.rand_sample
     mbta = mbta_bound(det.values, engineering_factor=args.factor)
+    n = comparison.rand.num_runs
     analysis = comparison.analyse_rand(
-        _analysis_config(args, max(120, comparison.rand.num_runs // 2))
+        _analysis_request(args, min_path_samples=max(120, n // 2))
+        .analysis_config(n)
     )
     print(
         figure3_panel(
@@ -391,7 +371,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_contend(args: argparse.Namespace) -> int:
-    _analysis_request(args)  # validate analysis knobs before any run
+    analysis_request = _analysis_request(args)  # validates before any run
     scenarios = args.scenarios
     if args.co_runner is not None:
         # Shorthand: --co-runner X sweeps isolation against X.
@@ -406,13 +386,7 @@ def cmd_contend(args: argparse.Namespace) -> int:
         _campaign_request(args, args.platform), scenario=None
     )
     comparison = compare_scenarios_request(base_request, scenarios=scenarios)
-    summary = comparison.summary(
-        cutoff=args.cutoff,
-        method=args.method,
-        ci=args.ci,
-        bootstrap=args.bootstrap,
-        bootstrap_kind=args.bootstrap_kind,
-    )
+    summary = comparison.summary(cutoff=args.cutoff, analysis=analysis_request)
     print(contention_panel(summary))
     if args.cutoff:
         print(f"\n('pwcet' row = estimate at P(exceed) = {args.cutoff:g})")
@@ -437,8 +411,7 @@ def cmd_contend(args: argparse.Namespace) -> int:
             print(f"{name}:")
             _print_convergence(result.convergence)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(contention_csv(summary) + "\n")
+        atomic_write_text(Path(args.out), contention_csv(summary) + "\n")
         print(f"contention comparison CSV written to {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ from .analysis import (
     AnalysisPipeline,
     AnalysisResult,
     ConfidenceBand,
+    PathAnalysis,
     TailModel,
     create_estimator,
     estimator_description,
@@ -26,7 +27,6 @@ from .convergence import (
     ConvergenceReport,
     assess_convergence,
 )
-from .mbpta import MBPTAAnalysis, MBPTAConfig, MBPTAResult, PathAnalysis
 from .mbta import MbtaEstimate, mbta_bound
 from .multipath import PWCETEnvelope, RarePathFloor
 from .pwcet import PWCETCurve, STANDARD_CUTOFFS
@@ -39,9 +39,6 @@ __all__ = [
     "ConfidenceBand",
     "ConvergenceMonitor",
     "ConvergenceReport",
-    "MBPTAAnalysis",
-    "MBPTAConfig",
-    "MBPTAResult",
     "MbtaEstimate",
     "PWCETCurve",
     "PWCETEnvelope",

@@ -7,8 +7,8 @@ estimators are string-keyed registry entries returning a common
 :class:`TailModel`, and pWCET uncertainty comes from numpy-batched
 bootstrap refits (:class:`ConfidenceBand`).
 
-The legacy :class:`repro.core.mbpta.MBPTAAnalysis` facade delegates
-here with bit-identical default-path output.
+Entry point: ``AnalysisPipeline(AnalysisConfig(...)).run(samples)``;
+the default configuration reproduces the seed analysis bit for bit.
 """
 
 from .bootstrap import (

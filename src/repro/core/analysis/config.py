@@ -3,10 +3,9 @@
 One frozen dataclass carries every knob of the pipeline: which tail
 estimator to use (a registry key, see
 :mod:`repro.core.analysis.estimators`), the i.i.d. gate level, the
-rare-path policy, and the bootstrap-uncertainty settings.  The legacy
-:class:`repro.core.mbpta.MBPTAConfig` maps onto this via
-:meth:`~repro.core.mbpta.MBPTAConfig.to_analysis_config`, so the old
-facade and the new pipeline share one source of truth.
+rare-path policy, and the bootstrap-uncertainty settings.
+:class:`repro.api.requests.AnalysisRequest` (the CLI and service form)
+builds one of these, so every entry point shares one source of truth.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ mirroring the platform/workload/scenario registries in
 Built-in estimators:
 
 * ``block-maxima-gumbel`` — the classical MBPTA tail (auto-sized block
-  maxima + Gumbel by PWM); bit-identical to the seed
-  ``MBPTAAnalysis`` default path,
+  maxima + Gumbel by PWM); bit-identical to the seed analysis's
+  default path,
 * ``gev`` — block maxima + full three-parameter GEV by L-moments (the
   moment-style fit the vectorized bootstrap can batch),
 * ``pot-gpd`` — peaks-over-threshold GPD, identical to the seed

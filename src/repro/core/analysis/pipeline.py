@@ -1,7 +1,6 @@
 """The staged analysis pipeline.
 
-The seed-era ``MBPTAAnalysis.analyse`` monolith, decomposed into
-explicit stages over a shared :class:`AnalysisContext`:
+The seed-era monolithic analysis, decomposed into explicit stages over a shared :class:`AnalysisContext`:
 
 1. :class:`NormalizeStage` — group the input by path, split off paths
    too rare for an EVT fit (HWM-plus-margin floors),
@@ -15,7 +14,7 @@ explicit stages over a shared :class:`AnalysisContext`:
 6. :class:`EnvelopeStage` — the i.i.d. requirement, the max envelope
    across paths, and the final :class:`AnalysisResult`.
 
-Running the default configuration reproduces the seed facade's output
+Running the default configuration reproduces the seed analysis's output
 bit for bit (pinned by ``tests/core/test_analysis_parity.py``); every
 other estimator is a registry entry away.  Custom stage lists can be
 passed for experimentation, but the default list is the supported
@@ -263,8 +262,7 @@ def default_stages() -> List[object]:
 
 
 class AnalysisPipeline:
-    """Configure once, analyse many samples (staged successor of
-    :class:`repro.core.mbpta.MBPTAAnalysis`)."""
+    """Configure once, analyse many samples."""
 
     def __init__(
         self,

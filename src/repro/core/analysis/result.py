@@ -1,9 +1,7 @@
 """Result types of the staged analysis pipeline.
 
 :class:`PathAnalysis` and :class:`AnalysisResult` are the pipeline's
-output; :class:`repro.core.mbpta.MBPTAResult` is a backward-compatible
-alias of :class:`AnalysisResult`, so every seed-era consumer keeps
-working while new consumers can read the per-path estimator choice,
+output: every seed-era field plus the per-path estimator choice,
 fit-quality diagnostics and bootstrap confidence bands.
 """
 
@@ -57,7 +55,7 @@ class PathAnalysis:
 
 @dataclass
 class AnalysisResult:
-    """Outcome of one pipeline run (a.k.a. ``MBPTAResult``)."""
+    """Outcome of one pipeline run."""
 
     config: "AnalysisConfig"
     paths: Dict[str, PathAnalysis]

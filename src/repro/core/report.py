@@ -1,6 +1,6 @@
 """Textual analysis reports.
 
-Renders an :class:`~repro.core.mbpta.MBPTAResult` into the sectioned
+Renders an :class:`~repro.core.analysis.AnalysisResult` into the sectioned
 text report a timing-analysis tool would emit: sample summaries, i.i.d.
 gate values (the paper reports 0.83 / 0.45), EVT fit parameters,
 per-path fit-quality diagnostics (Anderson-Darling/KS/QQ correlation,
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .mbpta import MBPTAResult, PathAnalysis
+    from .analysis.result import AnalysisResult, PathAnalysis
 
 __all__ = ["render_report", "render_pwcet_table"]
 
@@ -23,7 +23,7 @@ def _hrule(char: str = "-", width: int = 72) -> str:
     return char * width
 
 
-def render_pwcet_table(result: "MBPTAResult") -> str:
+def render_pwcet_table(result: "AnalysisResult") -> str:
     """The (cutoff, pWCET, pWCET/HWM) table as aligned text.
 
     When the analysis carried bootstrap bands, every row additionally
@@ -104,7 +104,7 @@ def _band_lines(analysis: "PathAnalysis") -> List[str]:
     return lines
 
 
-def render_report(result: "MBPTAResult") -> str:
+def render_report(result: "AnalysisResult") -> str:
     """Full multi-section report."""
     lines: List[str] = []
     title = f"MBPTA analysis report{': ' + result.label if result.label else ''}"

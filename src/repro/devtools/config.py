@@ -39,7 +39,6 @@ DEFAULT_FLOAT_SUM_PATHS: Tuple[str, ...] = (
     "*/repro/core/analysis/*",
     "*/repro/core/convergence.py",
     "*/repro/core/pwcet.py",
-    "*/repro/core/mbpta.py",
     "*/repro/core/mbta.py",
     "*/repro/core/multipath.py",
 )

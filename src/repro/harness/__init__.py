@@ -5,9 +5,7 @@ from .experiment import (
     DetRandComparison,
     ScenarioComparison,
     band_relation,
-    compare_det_rand,
     compare_requests,
-    compare_scenarios,
     compare_scenarios_request,
 )
 from .measurements import ExecutionTimeSample, PathSamples
@@ -22,8 +20,6 @@ __all__ = [
     "RunRecord",
     "ScenarioComparison",
     "band_relation",
-    "compare_det_rand",
     "compare_requests",
-    "compare_scenarios",
     "compare_scenarios_request",
 ]

@@ -8,12 +8,12 @@ Figure 3 of the paper puts side by side, for the same application:
   engineering factor (e.g. 50%),
 * MBPTA pWCET estimates at cutoff probabilities from 1e-6 down to 1e-15.
 
-:func:`compare_det_rand` runs the same workload campaign on both
+:func:`compare_requests` runs the same workload campaign on both
 platforms with **identical workload-input seeds** (so only the platform
 differs) and returns the raw material for that comparison; the analysis
 layer (:mod:`repro.core`) turns the RAND sample into pWCET estimates.
 
-:func:`compare_scenarios` opens the second comparison axis of a
+:func:`compare_scenarios_request` opens the second comparison axis of a
 multicore MBPTA story: the same workload, same platform, same seeds —
 only the *co-runners* differ.  Isolation is the baseline; each
 contention scenario's sample sits at or above it, and the gap is the
@@ -22,25 +22,20 @@ measured contention the pWCET must absorb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 
-from ..platform.soc import Platform, leon3_det, leon3_rand
-from ..workloads.tvca.app import TvcaApplication, TvcaConfig
-from .campaign import CampaignConfig, CampaignResult
+from .campaign import CampaignResult
 from .measurements import ExecutionTimeSample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> harness)
-    from ..api.requests import CampaignRequest
+    from ..api.requests import AnalysisRequest, CampaignRequest
     from ..core.analysis import AnalysisConfig, AnalysisResult
-    from ..core.convergence import ConvergencePolicy
 
 __all__ = [
     "DetRandComparison",
-    "compare_det_rand",
     "compare_requests",
     "ScenarioComparison",
-    "compare_scenarios",
     "compare_scenarios_request",
     "band_relation",
 ]
@@ -148,9 +143,9 @@ def compare_requests(
 ) -> DetRandComparison:
     """Run two campaign requests and pair them into a comparison.
 
-    The request-object form of :func:`compare_det_rand`: callers build
-    two :class:`~repro.api.requests.CampaignRequest` objects (typically
-    differing only in ``platform``) and this driver executes both via
+    Callers build two :class:`~repro.api.requests.CampaignRequest`
+    objects (typically differing only in ``platform``) and this driver
+    executes both via
     :meth:`~repro.api.runner.CampaignRunner.run_request`.  Using the
     same ``base_seed`` in both requests reproduces the paper's
     controlled comparison (identical workload inputs, platform as the
@@ -171,91 +166,6 @@ def compare_requests(
         rand_request, progress=wrap(rand_request.platform.upper())
     )
     return DetRandComparison(det=det, rand=rand)
-
-
-def compare_det_rand(
-    runs: int = 500,
-    base_seed: int = 2017,
-    app_config: Optional[TvcaConfig] = None,
-    det_platform: Optional[Platform] = None,
-    rand_platform: Optional[Platform] = None,
-    progress: Optional[Callable[[str, int, int], None]] = None,
-    shards: int = 1,
-    convergence: Optional["ConvergencePolicy"] = None,
-    scenario: Optional[str] = None,
-    backend: str = "auto",
-) -> DetRandComparison:
-    """Run the TVCA campaign on the DET and RAND platforms.
-
-    Both campaigns use the same base seed, hence identical per-run
-    *workload inputs*; only the platform (and its randomization) differs
-    — the controlled comparison behind Figure 3.  ``shards`` parallelizes
-    each campaign without changing a single observation (deterministic
-    by-run-index merge).  ``convergence`` makes both campaigns adaptive
-    (each stops at its own convergence point, ``runs`` being the cap) —
-    the platforms may then use different run counts, which is fine: the
-    comparison is between converged estimates, not raw samples.
-
-    ``scenario`` (a registered contention scenario name) co-schedules
-    the TVCA against that scenario's opponents on both platforms — the
-    Figure-3 comparison under multicore contention; the supplied
-    platforms must then have at least 2 cores.
-
-    Deprecated kwarg shim: when neither live platforms nor an
-    ``app_config`` object are supplied the call builds two
-    :class:`~repro.api.requests.CampaignRequest` objects and delegates
-    to :func:`compare_requests` — new code should construct the
-    requests directly.  Object arguments keep the historical in-place
-    path (they are not expressible as plain request data).
-    """
-    from ..api.registry import create_scenario
-    from ..api.runner import CampaignRunner
-    from ..api.workload import TvcaWorkload, Workload
-
-    if app_config is None and det_platform is None and rand_platform is None:
-        from ..api.requests import CampaignRequest
-
-        det_request = CampaignRequest(
-            workload="tvca",
-            platform="det",
-            runs=runs,
-            base_seed=base_seed,
-            scenario=scenario,
-            shards=shards,
-            backend=backend,
-            convergence=convergence,
-        )
-        return compare_requests(
-            det_request, replace(det_request, platform="rand"), progress=progress
-        )
-
-    app = TvcaApplication(app_config or TvcaConfig())
-    runner = CampaignRunner(
-        CampaignConfig(runs=runs, base_seed=base_seed),
-        shards=shards,
-        backend=backend,
-    )
-    det = det_platform or leon3_det()
-    rand = rand_platform or leon3_rand()
-
-    def wrap(name: str) -> Optional[Callable[[int, int], None]]:
-        if progress is None:
-            return None
-        return lambda done, total: progress(name, done, total)
-
-    def workload() -> Workload:
-        base = TvcaWorkload(app=app)
-        if scenario is None:
-            return base
-        return create_scenario(scenario, base)
-
-    det_result = runner.run(
-        workload(), det, progress=wrap("DET"), convergence=convergence
-    )
-    rand_result = runner.run(
-        workload(), rand, progress=wrap("RAND"), convergence=convergence
-    )
-    return DetRandComparison(det=det_result, rand=rand_result)
 
 
 @dataclass
@@ -284,24 +194,27 @@ class ScenarioComparison:
     def summary(
         self,
         cutoff: Optional[float] = None,
-        method: str = "block-maxima-gumbel",
-        ci: Optional[float] = None,
-        bootstrap: int = 200,
-        bootstrap_kind: str = "parametric",
+        analysis: Optional["AnalysisRequest"] = None,
     ) -> Dict[str, Dict[str, float]]:
         """Per-scenario headline numbers (mean, hwm, mean slowdown).
 
         With ``cutoff`` each row additionally carries ``pwcet`` — the
         MBPTA estimate at that exceedance probability, fitted on the
-        scenario's per-path samples with the ``method`` estimator.
-        With ``ci`` each fitted row further carries ``pwcet_lo`` /
-        ``pwcet_hi``, the bootstrap confidence band at ``cutoff`` —
-        so the contention gap can be judged by band overlap
+        scenario's per-path samples as ``analysis`` asks (default
+        ``AnalysisRequest()``, whose per-path fitting floor derives
+        from each scenario's run count).  With ``analysis.ci`` each
+        fitted row further carries ``pwcet_lo`` / ``pwcet_hi``, the
+        bootstrap confidence band at ``cutoff`` — so the contention
+        gap can be judged by band overlap
         (:func:`band_relation`), not just point ordering.  Scenarios
         whose sample cannot be fitted (too few observations per path)
         simply omit the rows, so one thin scenario never sinks the
         whole comparison.
         """
+        if analysis is None:
+            from ..api.requests import AnalysisRequest
+
+            analysis = AnalysisRequest()
         has_baseline = self.isolation is not None
         out: Dict[str, Dict[str, float]] = {}
         for name in sorted(self.by_scenario):
@@ -310,7 +223,7 @@ class ScenarioComparison:
             if has_baseline:
                 row["slowdown"] = self.slowdown(name)
             if cutoff is not None:
-                result = self._analyse(name, method, ci, bootstrap, bootstrap_kind)
+                result = self._analyse(name, analysis)
                 if result is not None:
                     row["pwcet"] = result.quantile(cutoff)
                     interval = result.envelope.band(cutoff)
@@ -320,27 +233,13 @@ class ScenarioComparison:
         return out
 
     def _analyse(
-        self,
-        scenario: str,
-        method: str,
-        ci: Optional[float],
-        bootstrap: int,
-        bootstrap_kind: str,
+        self, scenario: str, analysis: "AnalysisRequest"
     ) -> Optional["AnalysisResult"]:
         """The scenario's analysis result (None if unfittable)."""
-        from ..core.analysis import AnalysisConfig, AnalysisPipeline
+        from ..core.analysis import AnalysisPipeline
 
         result = self.by_scenario[scenario]
-        pipeline = AnalysisPipeline(
-            AnalysisConfig(
-                method=method,
-                min_path_samples=max(120, result.num_runs // 3),
-                check_convergence=False,
-                ci=ci,
-                bootstrap=bootstrap,
-                bootstrap_kind=bootstrap_kind,
-            )
-        )
+        pipeline = AnalysisPipeline(analysis.analysis_config(result.num_runs))
         try:
             return pipeline.run(result.samples)
         except (ValueError, RuntimeError):
@@ -354,7 +253,6 @@ def compare_scenarios_request(
 ) -> ScenarioComparison:
     """Measure one request's workload under several contention scenarios.
 
-    The request-object form of :func:`compare_scenarios`:
     ``base_request`` fixes the workload, platform, seeding and backend;
     each sweep entry is ``base_request.with_scenario(name)`` executed
     via :meth:`~repro.api.runner.CampaignRunner.run_request`.  Every
@@ -380,51 +278,3 @@ def compare_scenarios_request(
         workload=base_request.workload, by_scenario=results
     )
 
-
-def compare_scenarios(
-    workload_name: str,
-    scenarios: Sequence[str] = ("isolation", "opponent-memory-hammer"),
-    platform_name: str = "rand",
-    runs: int = 300,
-    base_seed: int = 2017,
-    shards: int = 1,
-    workload_kwargs: Optional[Dict[str, object]] = None,
-    platform_kwargs: Optional[Dict[str, object]] = None,
-    progress: Optional[Callable[[str, int, int], None]] = None,
-    convergence: Optional["ConvergencePolicy"] = None,
-    backend: str = "auto",
-    vary_inputs: bool = True,
-) -> ScenarioComparison:
-    """Measure one workload under several contention scenarios.
-
-    Deprecated kwarg shim over :func:`compare_scenarios_request`: the
-    sweep was already fully name-based, so the call simply packs its
-    arguments into a :class:`~repro.api.requests.CampaignRequest`
-    (``num_cores`` defaulting to 4 — contention needs spare cores) and
-    delegates.  New code should build the request directly.
-
-    ``vary_inputs=False`` fixes the workload inputs (and hence the
-    opponent traces, which derive from the input seed) so every
-    replication shares one trace set — the shape the vectorized
-    concurrent backend accelerates; backend choice never changes an
-    observation either way.
-    """
-    from ..api.requests import CampaignRequest
-
-    platform_kwargs = dict(platform_kwargs or {})
-    platform_kwargs.setdefault("num_cores", 4)
-    base_request = CampaignRequest(
-        workload=workload_name,
-        platform=platform_name,
-        runs=runs,
-        base_seed=base_seed,
-        vary_inputs=vary_inputs,
-        shards=shards,
-        backend=backend,
-        workload_kwargs=dict(workload_kwargs or {}),
-        platform_kwargs=platform_kwargs,
-        convergence=convergence,
-    )
-    return compare_scenarios_request(
-        base_request, scenarios=scenarios, progress=progress
-    )

@@ -22,7 +22,6 @@ from repro.api import (
     ConvergencePolicy,
     SyntheticWorkload,
     TvcaWorkload,
-    run_campaign,
 )
 from repro.core.evt import BlockMaximaTail, block_maxima, gumbel_fit_pwm
 from repro.platform.soc import leon3_rand
@@ -109,11 +108,8 @@ class TestAdaptiveSynthetic:
         assert restored.runs_requested == 2000
         assert restored.runs_used == serial.runs_used
 
-    def test_run_campaign_facade(self):
-        result = run_campaign(
-            _synthetic(), "rand", runs=2000, base_seed=BASE_SEED,
-            until_converged=True,
-        )
+    def test_default_policy(self):
+        result = _run(_synthetic(), runs=2000, convergence=ConvergencePolicy())
         # Default policy (block 20, step 100) needs 400 runs to fit.
         assert result.runs_requested == 2000
         assert result.convergence is not None

@@ -9,12 +9,13 @@ from repro.api import (
     ArtifactStore,
     CampaignArtifact,
     CampaignConfig,
+    CampaignRequest,
     CampaignRunner,
     SyntheticWorkload,
     load_measurements,
     platform_fingerprint,
 )
-from repro.core import MBPTAConfig
+from repro.core import AnalysisConfig
 from repro.harness.measurements import ExecutionTimeSample, PathSamples
 from repro.platform.soc import leon3_rand
 from repro.workloads.synthetic import cache_like_samples
@@ -62,7 +63,7 @@ class TestRoundTrip:
         _, artifact = campaign
         loaded = CampaignArtifact.from_json(artifact.to_json())
         result = loaded.analyse(
-            MBPTAConfig(min_path_samples=120, check_convergence=False)
+            AnalysisConfig(min_path_samples=120, check_convergence=False)
         )
         assert result.quantile(1e-9) > 0
 
@@ -158,12 +159,13 @@ class TestPathSamplesJson:
 
 class TestAnalysisSection:
     def _banded_artifact(self):
-        from repro.api import CampaignArtifact, run_campaign
-        from repro.core import AnalysisConfig, AnalysisPipeline
+        from repro.core import AnalysisPipeline
 
-        result = run_campaign(
-            "synthetic-cache", "rand", runs=200,
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
+        result = CampaignRunner.run_request(
+            CampaignRequest(
+                workload="synthetic-cache", platform="rand", runs=200,
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
         )
         artifact = CampaignArtifact.from_result(result)
         analysis = AnalysisPipeline(
@@ -194,11 +196,11 @@ class TestAnalysisSection:
         assert loaded.samples.counts() == artifact.samples.counts()
 
     def test_artifact_without_analysis_loads(self, tmp_path):
-        from repro.api import CampaignArtifact, run_campaign
-
-        result = run_campaign(
-            "synthetic-cache", "rand", runs=30,
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
+        result = CampaignRunner.run_request(
+            CampaignRequest(
+                workload="synthetic-cache", platform="rand", runs=30,
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
         )
         artifact = CampaignArtifact.from_result(result)
         path = tmp_path / "plain.json"

@@ -1,5 +1,5 @@
 """The unified request-object surface: validation, round-trips,
-digests, and the deprecated kwarg shims that now delegate to it."""
+digests, and the experiment drivers that consume it."""
 
 import json
 from dataclasses import replace
@@ -11,15 +11,9 @@ from repro.api import (
     CampaignRequest,
     CampaignRunner,
     execute_request,
-    run_campaign,
 )
 from repro.core import ConvergencePolicy
-from repro.harness import (
-    compare_det_rand,
-    compare_requests,
-    compare_scenarios,
-    compare_scenarios_request,
-)
+from repro.harness import compare_requests
 
 SMALL = dict(
     workload="matmul",
@@ -191,51 +185,7 @@ class TestExecution:
 
 
 class TestShimParity:
-    """The deprecated kwarg surfaces produce bit-identical campaigns."""
-
-    def test_run_campaign_matches_request(self):
-        legacy = run_campaign(
-            "matmul",
-            "rand",
-            runs=12,
-            base_seed=7,
-            workload_kwargs={"dim": 3},
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-        )
-        request = CampaignRequest(**SMALL)
-        assert cycles(legacy) == cycles(CampaignRunner.run_request(request))
-
-    def test_compare_det_rand_matches_requests(self):
-        legacy = compare_det_rand(runs=6, base_seed=11)
-        det = CampaignRequest(
-            workload="tvca", platform="det", runs=6, base_seed=11
-        )
-        request_form = compare_requests(det, replace(det, platform="rand"))
-        assert cycles(legacy.det) == cycles(request_form.det)
-        assert cycles(legacy.rand) == cycles(request_form.rand)
-
-    def test_compare_scenarios_matches_request(self):
-        scenarios = ("isolation", "opponent-cpu")
-        legacy = compare_scenarios(
-            "matmul",
-            scenarios=scenarios,
-            runs=5,
-            base_seed=3,
-            workload_kwargs={"dim": 3},
-        )
-        base = CampaignRequest(
-            workload="matmul",
-            platform="rand",
-            runs=5,
-            base_seed=3,
-            workload_kwargs={"dim": 3},
-            platform_kwargs={"num_cores": 4},
-        )
-        request_form = compare_scenarios_request(base, scenarios=scenarios)
-        for name in scenarios:
-            assert cycles(legacy.by_scenario[name]) == cycles(
-                request_form.by_scenario[name]
-            )
+    """The experiment drivers over request objects."""
 
     def test_progress_labels(self):
         seen = []

@@ -16,11 +16,10 @@ from repro.api import (
     create_platform,
     create_scenario,
     create_workload,
-    run_campaign,
     scenario_description,
     scenario_names,
 )
-from repro.core import MBPTAAnalysis, MBPTAConfig
+from repro.core import AnalysisConfig, AnalysisPipeline
 from repro.workloads.opponents import co_runner, co_runner_names
 from repro.workloads.synthetic import cache_like_samples
 
@@ -93,9 +92,8 @@ class TestScenarioValidation:
 
 class TestIsolationEquivalence:
     def test_isolation_scenario_matches_plain_workload(self):
-        plain = run_campaign(
-            create_workload("table-walk"), _platform(), runs=RUNS,
-            base_seed=SEED,
+        plain = CampaignRunner(CampaignConfig(runs=RUNS, base_seed=SEED)).run(
+            create_workload("table-walk"), _platform()
         )
         scenario = _campaign("isolation")
         assert [r.cycles for r in scenario.run_details] == [
@@ -128,12 +126,12 @@ class TestContentionAcceptance:
         }
         estimates = {}
         for name, result in results.items():
-            analysis = MBPTAAnalysis(
-                MBPTAConfig(
+            analysis = AnalysisPipeline(
+                AnalysisConfig(
                     min_path_samples=max(120, runs // 3),
                     check_convergence=False,
                 )
-            ).analyse(result.samples)
+            ).run(result.samples)
             estimates[name] = analysis.quantile(1e-9)
         assert (
             estimates["opponent-memory-hammer"] >= estimates["isolation"]

@@ -1,9 +1,8 @@
 """Workload adapters: the protocol every measurable thing implements."""
 
-import pytest
-
 from repro.api import (
     CampaignConfig,
+    CampaignRequest,
     CampaignRunner,
     ProgramWorkload,
     RunObservation,
@@ -11,7 +10,6 @@ from repro.api import (
     TvcaWorkload,
     Workload,
     create_workload,
-    run_campaign,
     seeded_env_fn,
 )
 from repro.platform.soc import leon3_det, leon3_rand
@@ -154,36 +152,33 @@ class TestSyntheticWorkload:
 
 
 class TestRunCampaignFacade:
+    """The two ways to run a campaign: a request of registry names, or
+    live workload and platform objects through the runner."""
+
     def test_accepts_registry_names(self):
-        result = run_campaign(
-            "matmul", "det", runs=4, base_seed=1,
-            workload_kwargs={"dim": 3},
-            platform_kwargs={"num_cores": 1},
+        result = CampaignRunner.run_request(
+            CampaignRequest(
+                workload="matmul", platform="det", runs=4, base_seed=1,
+                workload_kwargs={"dim": 3},
+                platform_kwargs={"num_cores": 1},
+            )
         )
         assert result.num_runs == 4
         assert result.label == "matmul_3@DET"
 
     def test_accepts_objects(self):
-        result = run_campaign(
+        result = CampaignRunner(CampaignConfig(runs=3)).run(
             ProgramWorkload(matmul_kernel(dim=3)),
             leon3_det(num_cores=1),
-            runs=3,
         )
         assert result.num_runs == 3
 
-    def test_rejects_kwargs_with_objects(self):
-        with pytest.raises(ValueError):
-            run_campaign(
-                ProgramWorkload(matmul_kernel(dim=3)),
-                leon3_det(num_cores=1),
-                runs=2,
-                workload_kwargs={"dim": 4},
-            )
-
     def test_registry_workload_with_random_env(self):
-        result = run_campaign(
-            "table-walk", "rand", runs=5, base_seed=9,
-            workload_kwargs={"entries": 64, "lookups": 16},
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
+        result = CampaignRunner.run_request(
+            CampaignRequest(
+                workload="table-walk", platform="rand", runs=5, base_seed=9,
+                workload_kwargs={"entries": 64, "lookups": 16},
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
         )
         assert result.num_runs == 5

@@ -2,17 +2,17 @@
 for bit on the default path.
 
 ``_seed_reference_analyse`` below is a line-for-line port of the
-pre-refactor ``MBPTAAnalysis.analyse`` / ``_analyse_path`` /
-``_fit_tail`` (the seed-era monolith), built from the same public EVT
-primitives.  Every float it produces — envelope quantiles, i.i.d.
-p-values, GoF p-values, tail parameters, rare-path floors — must equal
-the facade's output exactly (``==``, not approx): the refactor moved
+pre-refactor ``analyse`` / ``_analyse_path`` / ``_fit_tail`` (the
+seed-era monolith), built from the same public EVT primitives.  Every
+float it produces — envelope quantiles, i.i.d. p-values, GoF p-values,
+tail parameters, rare-path floors — must equal the pipeline's output
+exactly (``==``, not approx): the refactor moved
 code, it must not have moved a single operation.
 """
 
 import pytest
 
-from repro.core import MBPTAAnalysis, MBPTAConfig, STANDARD_CUTOFFS
+from repro.core import AnalysisConfig, AnalysisPipeline, STANDARD_CUTOFFS
 from repro.core.evt.block_maxima import best_block_size, block_maxima
 from repro.core.evt.gumbel import GumbelDistribution, fit_pwm
 from repro.core.evt.pot import fit_pot
@@ -26,8 +26,9 @@ from repro.workloads.synthetic import cache_like_samples, gumbel_samples
 
 
 def _seed_fit_tail(values, cfg):
-    """Verbatim port of the seed ``MBPTAAnalysis._fit_tail``."""
-    if cfg.tail_method == "pot":
+    """Verbatim port of the seed ``_fit_tail`` (its ``"pot"`` tail
+    method is the ``pot-gpd`` estimator)."""
+    if cfg.method == "pot-gpd":
         pot = fit_pot(values)
         excesses = [v - pot.threshold for v in values if v > pot.threshold]
         gof = 1.0
@@ -44,7 +45,7 @@ def _seed_fit_tail(values, cfg):
 
 
 def _seed_reference_analyse(data, cfg):
-    """Verbatim port of the seed ``MBPTAAnalysis.analyse`` (minus the
+    """Verbatim port of the seed ``analyse`` (minus the
     report-only GEV cross-check and convergence replay, compared
     separately).  Returns (paths, rare, envelope) where ``paths`` maps
     path -> (iid, tail, curve, gof)."""
@@ -126,14 +127,14 @@ def _assert_bit_identical(result, reference):
 class TestDefaultPathParity:
     def test_single_path_block_maxima(self):
         vals = cache_like_samples(1500, seed=43)
-        cfg = MBPTAConfig(check_convergence=False)
-        result = MBPTAAnalysis(cfg).analyse(vals)
+        cfg = AnalysisConfig(check_convergence=False)
+        result = AnalysisPipeline(cfg).run(vals)
         _assert_bit_identical(result, _seed_reference_analyse(vals, cfg))
 
     def test_single_path_pot(self):
         vals = cache_like_samples(1500, seed=47)
-        cfg = MBPTAConfig(tail_method="pot", check_convergence=False)
-        result = MBPTAAnalysis(cfg).analyse(vals)
+        cfg = AnalysisConfig(method="pot-gpd", check_convergence=False)
+        result = AnalysisPipeline(cfg).run(vals)
         _assert_bit_identical(result, _seed_reference_analyse(vals, cfg))
 
     def test_multi_path_with_rare_floor(self):
@@ -144,21 +145,21 @@ class TestDefaultPathParity:
             samples.add("path-B", v)
         for v in [20000.0] * 10:
             samples.add("rare", v)
-        cfg = MBPTAConfig(check_convergence=False)
-        result = MBPTAAnalysis(cfg).analyse(samples)
+        cfg = AnalysisConfig(check_convergence=False)
+        result = AnalysisPipeline(cfg).run(samples)
         _assert_bit_identical(result, _seed_reference_analyse(samples, cfg))
 
     def test_constant_path(self):
-        cfg = MBPTAConfig(check_convergence=False)
-        result = MBPTAAnalysis(cfg).analyse([500.0] * 300)
+        cfg = AnalysisConfig(check_convergence=False)
+        result = AnalysisPipeline(cfg).run([500.0] * 300)
         _assert_bit_identical(
             result, _seed_reference_analyse([500.0] * 300, cfg)
         )
 
     def test_fixed_block_size(self):
         vals = gumbel_samples(1000, seed=51, location=1000, scale=10)
-        cfg = MBPTAConfig(block_size=25, check_convergence=False)
-        result = MBPTAAnalysis(cfg).analyse(vals)
+        cfg = AnalysisConfig(block_size=25, check_convergence=False)
+        result = AnalysisPipeline(cfg).run(vals)
         _assert_bit_identical(result, _seed_reference_analyse(vals, cfg))
 
     def test_gev_cross_check_matches_seed_condition(self):
@@ -166,7 +167,7 @@ class TestDefaultPathParity:
         >= 8 distinct maxima existed; the pipeline must still populate
         those fields there."""
         vals = cache_like_samples(1500, seed=43)
-        result = MBPTAAnalysis(MBPTAConfig(check_convergence=False)).analyse(vals)
+        result = AnalysisPipeline(AnalysisConfig(check_convergence=False)).run(vals)
         analysis = next(iter(result.paths.values()))
         maxima = block_maxima(
             list(analysis.sample.values), analysis.tail.block_size
@@ -179,41 +180,47 @@ class TestDefaultPathParity:
         """check_convergence=True still replays the stopping rule on
         paths with >= 400 runs (seed behaviour)."""
         vals = gumbel_samples(1000, seed=8, location=1000, scale=10)
-        result = MBPTAAnalysis(MBPTAConfig()).analyse(vals)
+        result = AnalysisPipeline(AnalysisConfig()).run(vals)
         analysis = next(iter(result.paths.values()))
         assert analysis.convergence is not None
 
     def test_empty_input_error_preserved(self):
         with pytest.raises(ValueError):
-            MBPTAAnalysis().analyse([])
+            AnalysisPipeline().run([])
 
     def test_require_iid_error_preserved(self):
         from repro.workloads.synthetic import trending_samples
 
         vals = trending_samples(1000, seed=49, slope=0.5, sigma=0.1)
         with pytest.raises(RuntimeError, match="i.i.d"):
-            MBPTAAnalysis(MBPTAConfig(require_iid=True)).analyse(vals)
+            AnalysisPipeline(AnalysisConfig(require_iid=True)).run(vals)
 
 
 class TestArtifactRoundTrip:
     def test_run_artifact_reanalysable(self, tmp_path):
         """Artifacts produced by `run` stay loadable by `analyse
         --sample`, with per-path grouping and bit-identical analysis."""
-        from repro.api import CampaignArtifact, load_measurements, run_campaign
+        from repro.api import (
+            CampaignArtifact,
+            CampaignRequest,
+            CampaignRunner,
+            load_measurements,
+        )
 
-        result = run_campaign(
-            "synthetic-cache", "rand", runs=300, platform_kwargs={
-                "num_cores": 1, "cache_kb": 4,
-            }
+        result = CampaignRunner.run_request(
+            CampaignRequest(
+                workload="synthetic-cache", platform="rand", runs=300,
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
         )
         artifact = CampaignArtifact.from_result(result)
         path = tmp_path / "campaign.json"
         artifact.save(path)
         loaded = load_measurements(path)
         assert isinstance(loaded, CampaignArtifact)
-        cfg = MBPTAConfig(min_path_samples=120, check_convergence=False)
-        direct = MBPTAAnalysis(cfg).analyse(result.samples)
-        reloaded = MBPTAAnalysis(cfg).analyse(loaded.samples)
+        cfg = AnalysisConfig(min_path_samples=120, check_convergence=False)
+        direct = AnalysisPipeline(cfg).run(result.samples)
+        reloaded = AnalysisPipeline(cfg).run(loaded.samples)
         assert set(direct.paths) == set(reloaded.paths)
         for p in STANDARD_CUTOFFS:
             assert direct.quantile(p) == reloaded.quantile(p)

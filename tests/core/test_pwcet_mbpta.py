@@ -1,11 +1,11 @@
 """Tests for the pWCET curve, multipath envelope, MBTA baseline,
-convergence and the MBPTA facade."""
+convergence and the MBPTA analysis pipeline."""
 
 import pytest
 
 from repro.core import (
-    MBPTAAnalysis,
-    MBPTAConfig,
+    AnalysisConfig,
+    AnalysisPipeline,
     PWCETCurve,
     PWCETEnvelope,
     RarePathFloor,
@@ -172,9 +172,11 @@ class TestConvergence:
 
 
 class TestMBPTAFacade:
+    """The whole MBPTA analysis through ``AnalysisPipeline``."""
+
     def test_single_path_pipeline(self):
         vals = cache_like_samples(1500, seed=43)
-        result = MBPTAAnalysis().analyse(vals, label="test")
+        result = AnalysisPipeline().run(vals, label="test")
         assert result.iid_ok
         assert result.quantile(1e-9) > max(vals)
         assert len(result.paths) == 1
@@ -185,7 +187,7 @@ class TestMBPTAFacade:
             samples.add("path-A", v)
         for v in cache_like_samples(600, seed=45, base=12000.0):
             samples.add("path-B", v)
-        result = MBPTAAnalysis().analyse(samples)
+        result = AnalysisPipeline().run(samples)
         assert set(result.paths) == {"path-A", "path-B"}
         # Path B sits higher: it must dominate the envelope.
         assert result.envelope.dominating_path(1e-9) == "path-B"
@@ -196,7 +198,7 @@ class TestMBPTAFacade:
             samples.add("common", v)
         for v in [20000.0] * 10:
             samples.add("rare", v)
-        result = MBPTAAnalysis().analyse(samples)
+        result = AnalysisPipeline().run(samples)
         assert len(result.rare_paths) == 1
         assert result.rare_paths[0].path == "rare"
         # The rare path's floor dominates.
@@ -204,16 +206,16 @@ class TestMBPTAFacade:
 
     def test_pot_method(self):
         vals = cache_like_samples(1500, seed=47)
-        result = MBPTAAnalysis(MBPTAConfig(tail_method="pot")).analyse(vals)
+        result = AnalysisPipeline(AnalysisConfig(method="pot-gpd")).run(vals)
         assert result.quantile(1e-9) >= max(vals)
 
     def test_bm_and_pot_agree_on_clean_data(self):
         """The two tail routes must give the same order of magnitude."""
         vals = gumbel_samples(4000, seed=48, location=10000, scale=50)
-        bm = MBPTAAnalysis(MBPTAConfig(check_convergence=False)).analyse(vals)
-        pot = MBPTAAnalysis(
-            MBPTAConfig(tail_method="pot", check_convergence=False)
-        ).analyse(vals)
+        bm = AnalysisPipeline(AnalysisConfig(check_convergence=False)).run(vals)
+        pot = AnalysisPipeline(
+            AnalysisConfig(method="pot-gpd", check_convergence=False)
+        ).run(vals)
         q_bm = bm.quantile(1e-9)
         q_pot = pot.quantile(1e-9)
         assert q_pot == pytest.approx(q_bm, rel=0.05)
@@ -223,36 +225,36 @@ class TestMBPTAFacade:
 
         vals = trending_samples(1000, seed=49, slope=0.5, sigma=0.1)
         with pytest.raises(RuntimeError, match="i.i.d"):
-            MBPTAAnalysis(MBPTAConfig(require_iid=True)).analyse(vals)
+            AnalysisPipeline(AnalysisConfig(require_iid=True)).run(vals)
 
     def test_constant_path_handled(self):
-        result = MBPTAAnalysis().analyse([500.0] * 300)
+        result = AnalysisPipeline().run([500.0] * 300)
         assert result.quantile(1e-9) == pytest.approx(500.0, rel=1e-6)
 
     def test_report_contains_key_sections(self):
         vals = cache_like_samples(1000, seed=50)
-        report = MBPTAAnalysis().analyse(vals, label="rpt").report()
+        report = AnalysisPipeline().run(vals, label="rpt").report()
         assert "Ljung-Box" in report
         assert "pWCET" in report
         assert "i.i.d." in report
 
     def test_fixed_block_size(self):
         vals = cache_like_samples(1000, seed=51)
-        result = MBPTAAnalysis(MBPTAConfig(block_size=25)).analyse(vals)
+        result = AnalysisPipeline(AnalysisConfig(block_size=25)).run(vals)
         tail = next(iter(result.paths.values())).tail
         assert tail.block_size == 25
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            MBPTAConfig(tail_method="magic")
+            AnalysisConfig(method="magic")
         with pytest.raises(ValueError):
-            MBPTAConfig(alpha=2.0)
+            AnalysisConfig(alpha=2.0)
         with pytest.raises(ValueError):
-            MBPTAConfig(min_path_samples=10)
+            AnalysisConfig(min_path_samples=10)
 
     def test_mixture_data_single_pool_still_bounded(self):
         """Pooled multi-modal data (the anti-pattern per-path analysis
         avoids): the curve must still upper-bound the observations."""
         vals = mixture_samples(2000, seed=52)
-        result = MBPTAAnalysis().analyse(vals)
+        result = AnalysisPipeline().run(vals)
         assert result.quantile(1e-6) >= max(vals)

@@ -1,18 +1,44 @@
 """Tests for measurement campaigns and the DET/RAND experiment driver."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.api import CampaignRunner, ProgramWorkload, TvcaWorkload
+from repro.api import (
+    CampaignRequest,
+    CampaignRunner,
+    ProgramWorkload,
+    TvcaWorkload,
+)
 from repro.harness.campaign import CampaignConfig
-from repro.harness.experiment import compare_det_rand
+from repro.harness.experiment import compare_requests, compare_scenarios_request
 from repro.platform.soc import leon3_det, leon3_rand
 from repro.programs.layout import link
 from repro.workloads.kernels import matmul_kernel
 from repro.workloads.tvca.app import TvcaApplication, TvcaConfig
 
-SMALL_TVCA = TvcaConfig(
-    estimator_dim=8, aero_elements=64, aero_window=8, hyperperiods=1
-)
+SMALL_TVCA_KWARGS = {
+    "estimator_dim": 8, "aero_elements": 64, "aero_window": 8, "hyperperiods": 1,
+}
+SMALL_TVCA = TvcaConfig(**SMALL_TVCA_KWARGS)
+
+
+def _det_rand(runs, base_seed=2017):
+    """The small TVCA measured on DET and RAND with identical seeds."""
+    det = CampaignRequest(
+        workload="tvca", platform="det", runs=runs, base_seed=base_seed,
+        workload_kwargs=SMALL_TVCA_KWARGS,
+    )
+    return compare_requests(det, replace(det, platform="rand"))
+
+
+def _scenarios(workload, scenarios, runs, base_seed=2017, **platform_kwargs):
+    """One workload on RAND under each contention scenario."""
+    base = CampaignRequest(
+        workload=workload, platform="rand", runs=runs, base_seed=base_seed,
+        platform_kwargs=platform_kwargs,
+    )
+    return compare_scenarios_request(base, scenarios=scenarios)
 
 
 class TestCampaignConfig:
@@ -117,28 +143,27 @@ class TestProgramCampaign:
 
 class TestCompareDetRand:
     def test_comparison_runs(self):
-        comparison = compare_det_rand(runs=10, app_config=SMALL_TVCA)
+        comparison = _det_rand(runs=10)
         summary = comparison.summary()
         assert summary["det_mean"] > 0
         assert summary["rand_mean"] > 0
         assert 0.8 < summary["average_ratio"] < 1.2
 
     def test_identical_inputs_across_platforms(self):
-        comparison = compare_det_rand(runs=6, base_seed=11, app_config=SMALL_TVCA)
+        comparison = _det_rand(runs=6, base_seed=11)
         # Same number of observations on both platforms.
         assert len(comparison.det_sample) == len(comparison.rand_sample) == 6
 
 
 class TestCompareScenarios:
     def test_isolation_vs_hammer_sweep(self):
-        from repro.harness import compare_scenarios
-
-        comparison = compare_scenarios(
+        comparison = _scenarios(
             "table-walk",
-            scenarios=("isolation", "opponent-memory-hammer"),
+            ("isolation", "opponent-memory-hammer"),
             runs=8,
             base_seed=55,
-            platform_kwargs={"num_cores": 4, "cache_kb": 4},
+            num_cores=4,
+            cache_kb=4,
         )
         summary = comparison.summary()
         assert set(summary) == {"isolation", "opponent-memory-hammer"}
@@ -150,13 +175,8 @@ class TestCompareScenarios:
         assert [r.platform_seed for r in iso] == [r.platform_seed for r in ham]
 
     def test_slowdown_requires_baseline(self):
-        from repro.harness import compare_scenarios
-
-        comparison = compare_scenarios(
-            "matmul",
-            scenarios=("opponent-cpu",),
-            runs=2,
-            platform_kwargs={"num_cores": 2, "cache_kb": 4},
+        comparison = _scenarios(
+            "matmul", ("opponent-cpu",), runs=2, num_cores=2, cache_kb=4
         )
         with pytest.raises(ValueError):
             comparison.slowdown("opponent-cpu")
@@ -180,17 +200,19 @@ class TestBandRelation:
 
 class TestScenarioBandSummary:
     def test_summary_carries_bands_and_overlap_is_decidable(self):
-        from repro.harness import band_relation, compare_scenarios
+        from repro.api import AnalysisRequest
+        from repro.harness import band_relation
 
-        comparison = compare_scenarios(
+        comparison = _scenarios(
             "table-walk",
-            scenarios=("isolation", "opponent-memory-hammer"),
+            ("isolation", "opponent-memory-hammer"),
             runs=400,
             base_seed=55,
-            platform_kwargs={"num_cores": 4, "cache_kb": 4},
+            num_cores=4,
+            cache_kb=4,
         )
         summary = comparison.summary(
-            cutoff=1e-9, ci=0.9, bootstrap=100
+            cutoff=1e-9, analysis=AnalysisRequest(ci=0.9, bootstrap=100)
         )
         for name in ("isolation", "opponent-memory-hammer"):
             row = summary[name]
@@ -205,13 +227,8 @@ class TestScenarioBandSummary:
         ) == "above"
 
     def test_summary_without_ci_has_no_band_columns(self):
-        from repro.harness import compare_scenarios
-
-        comparison = compare_scenarios(
-            "table-walk",
-            scenarios=("isolation",),
-            runs=8,
-            platform_kwargs={"num_cores": 4, "cache_kb": 4},
+        comparison = _scenarios(
+            "table-walk", ("isolation",), runs=8, num_cores=4, cache_kb=4
         )
         summary = comparison.summary(cutoff=None)
         assert "pwcet_lo" not in summary["isolation"]
@@ -220,9 +237,8 @@ class TestScenarioBandSummary:
 class TestDetRandBands:
     def test_analyse_rand_and_mbta_verdict(self):
         from repro.core import AnalysisConfig, mbta_bound
-        from repro.harness import compare_det_rand
 
-        comparison = compare_det_rand(runs=250, base_seed=7, app_config=SMALL_TVCA)
+        comparison = _det_rand(runs=250, base_seed=7)
         analysis = comparison.analyse_rand(
             AnalysisConfig(
                 min_path_samples=120, check_convergence=False, ci=0.9,
@@ -236,8 +252,6 @@ class TestDetRandBands:
         assert verdict["lower"] <= verdict["upper"]
 
     def test_no_band_returns_none(self):
-        from repro.harness import compare_det_rand
-
-        comparison = compare_det_rand(runs=250, base_seed=7, app_config=SMALL_TVCA)
+        comparison = _det_rand(runs=250, base_seed=7)
         analysis = comparison.analyse_rand()
         assert comparison.mbta_vs_band(analysis, 1e-12, 1000.0) is None

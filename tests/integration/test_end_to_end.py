@@ -5,18 +5,21 @@ i.i.d. on the randomized platform, a pWCET curve that upper-bounds the
 observations, the MBTA comparison and the DET/RAND average parity.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.api import CampaignRunner, TvcaWorkload
-from repro.core import MBPTAAnalysis, MBPTAConfig
-from repro.harness import CampaignConfig, compare_det_rand
+from repro.api import CampaignRequest, CampaignRunner, TvcaWorkload
+from repro.core import AnalysisConfig, AnalysisPipeline
+from repro.harness import CampaignConfig, compare_requests
 from repro.platform import leon3_det, leon3_rand
 from repro.workloads.tvca import TvcaApplication, TvcaConfig
 
 # Scaled-pressure configuration (see EXPERIMENTS.md): small estimator on
 # 4 KB caches keeps the footprint/capacity ratio of the measured setup
 # while running fast enough for CI.
-APP_CONFIG = TvcaConfig(estimator_dim=12, aero_window=16)
+APP_KWARGS = {"estimator_dim": 12, "aero_window": 16}
+APP_CONFIG = TvcaConfig(**APP_KWARGS)
 CACHE_KB = 4
 RUNS = 150
 
@@ -32,8 +35,8 @@ def rand_campaign():
 
 @pytest.fixture(scope="module")
 def analysis(rand_campaign):
-    config = MBPTAConfig(min_path_samples=80, check_convergence=False)
-    return MBPTAAnalysis(config).analyse(rand_campaign.samples)
+    config = AnalysisConfig(min_path_samples=80, check_convergence=False)
+    return AnalysisPipeline(config).run(rand_campaign.samples)
 
 
 class TestPaperPipeline:
@@ -72,13 +75,15 @@ class TestPaperPipeline:
 
     def test_det_rand_average_parity(self):
         """Figure 3 first two bars: no noticeable average difference."""
-        comparison = compare_det_rand(
+        det = CampaignRequest(
+            workload="tvca",
+            platform="det",
             runs=40,
             base_seed=7,
-            app_config=APP_CONFIG,
-            det_platform=leon3_det(num_cores=1, cache_kb=CACHE_KB),
-            rand_platform=leon3_rand(num_cores=1, cache_kb=CACHE_KB),
+            workload_kwargs=APP_KWARGS,
+            platform_kwargs={"num_cores": 1, "cache_kb": CACHE_KB},
         )
+        comparison = compare_requests(det, replace(det, platform="rand"))
         assert comparison.average_ratio() == pytest.approx(1.0, abs=0.08)
 
     def test_det_platform_fails_randomization_premise(self):

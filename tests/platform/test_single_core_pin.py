@@ -12,11 +12,11 @@ import pytest
 
 from repro.api import (
     CampaignConfig,
+    CampaignRequest,
     CampaignRunner,
     create_platform,
     create_scenario,
     create_workload,
-    run_campaign,
 )
 from repro.platform.batch import numpy_available
 
@@ -39,13 +39,15 @@ def test_single_core_cycles_bit_identical_to_seed_engine(workload, platform):
     kwargs = (
         {"estimator_dim": 12, "aero_window": 16} if workload == "tvca" else {}
     )
-    result = run_campaign(
-        workload,
-        platform,
-        runs=5,
-        base_seed=20177,
-        workload_kwargs=kwargs,
-        platform_kwargs={"num_cores": 1, "cache_kb": 4},
+    result = CampaignRunner.run_request(
+        CampaignRequest(
+            workload=workload,
+            platform=platform,
+            runs=5,
+            base_seed=20177,
+            workload_kwargs=kwargs,
+            platform_kwargs={"num_cores": 1, "cache_kb": 4},
+        )
     )
     assert [record.cycles for record in result.run_details] == PINNED[
         (workload, platform)

@@ -392,3 +392,16 @@ class TestCommands:
         csv = out.read_text()
         assert csv.startswith("scenario,statistic,value")
         assert "opponent-memory-hammer,mean," in csv
+        # Written through the atomic UTF-8 path: exact bytes, no temp
+        # file left next to the output.
+        from repro.api import CampaignRequest
+        from repro.harness import compare_scenarios_request
+        from repro.viz import contention_csv
+
+        base = CampaignRequest(
+            workload="table-walk", runs=20,
+            platform_kwargs={"num_cores": 4, "cache_kb": 4},
+        )
+        summary = compare_scenarios_request(base).summary()
+        assert out.read_bytes() == (contention_csv(summary) + "\n").encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["contend.csv"]
