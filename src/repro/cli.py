@@ -117,9 +117,7 @@ def _platform_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
     }
 
 
-def _analysis_request(
-    args: argparse.Namespace, min_path_samples: Optional[int] = None
-) -> AnalysisRequest:
+def _analysis_request(args: argparse.Namespace) -> AnalysisRequest:
     """The analysis knobs requested on the command line, as a request.
 
     Constructing it validates every knob, so commands call this before
@@ -130,7 +128,6 @@ def _analysis_request(
         ci=args.ci,
         bootstrap=args.bootstrap,
         bootstrap_kind=args.bootstrap_kind,
-        min_path_samples=min_path_samples,
     )
 
 
@@ -325,7 +322,7 @@ def cmd_analyse(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _analysis_request(args)  # validate analysis knobs before any run
+    analysis_request = _analysis_request(args)  # validates before any run
     det_request = _campaign_request(args, "det", workload="tvca")
     comparison = compare_requests(
         det_request, replace(det_request, platform="rand")
@@ -337,11 +334,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     det = comparison.det_sample
     rand = comparison.rand_sample
     mbta = mbta_bound(det.values, engineering_factor=args.factor)
-    n = comparison.rand.num_runs
-    analysis = comparison.analyse_rand(
-        _analysis_request(args, min_path_samples=max(120, n // 2))
-        .analysis_config(n)
-    )
+    analysis = comparison.analyse_rand(analysis_request)
     print(
         figure3_panel(
             det_mean=det.mean,

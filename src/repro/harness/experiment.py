@@ -22,7 +22,7 @@ measured contention the pWCET must absorb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 
 from .campaign import CampaignResult
@@ -30,7 +30,7 @@ from .measurements import ExecutionTimeSample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> harness)
     from ..api.requests import AnalysisRequest, CampaignRequest
-    from ..core.analysis import AnalysisConfig, AnalysisResult
+    from ..core.analysis import AnalysisResult
 
 __all__ = [
     "DetRandComparison",
@@ -98,17 +98,24 @@ class DetRandComparison:
         }
 
     def analyse_rand(
-        self, config: Optional["AnalysisConfig"] = None
+        self, analysis: Optional["AnalysisRequest"] = None
     ) -> "AnalysisResult":
-        """Run the analysis pipeline on the RAND per-path samples."""
-        from ..core.analysis import AnalysisConfig, AnalysisPipeline
+        """Run the analysis pipeline on the RAND per-path samples.
 
-        if config is None:
-            config = AnalysisConfig(
-                min_path_samples=max(120, self.rand.num_runs // 2),
-                check_convergence=False,
-            )
-        return AnalysisPipeline(config).run(self.rand.samples)
+        ``analysis`` picks the estimator and bands (None =
+        ``AnalysisRequest()``).  Unless it pins ``min_path_samples``, the
+        per-path fitting floor is ``max(120, runs // 2)``: the
+        comparison's own rule, stricter than a single campaign's.
+        """
+        from ..api.requests import AnalysisRequest
+        from ..core.analysis import AnalysisPipeline
+
+        if analysis is None:
+            analysis = AnalysisRequest()
+        runs = self.rand.num_runs
+        if analysis.min_path_samples is None:
+            analysis = replace(analysis, min_path_samples=max(120, runs // 2))
+        return AnalysisPipeline(analysis.analysis_config(runs)).run(self.rand.samples)
 
     def mbta_vs_band(
         self, result: "AnalysisResult", cutoff: float, mbta: float

@@ -22,9 +22,12 @@ FPU latencies — is precompiled once per trace into an event list with
 static-cost gaps, so only instructions that touch per-run state (fetch
 probes on new lines, loads, stores) cost vector work.  The single-core
 engine drains the very compile the scalar ``Core.execute`` drains
-(:func:`~repro.platform.core._compile_segment`, memoized here per
-trace); so does the co-scheduled engine's private pass, so the cost
-model has one home.
+(:func:`~repro.platform.core._compile_segment`); so does the
+co-scheduled engine's private pass, so the cost model has one home.
+Both memoize it through :func:`~repro.platform.core._memoized`:
+``Core.execute`` in a small LRU per core, the vector engines here in
+one process-wide LRU shared by the engines a campaign builds per
+index block, group and shard.
 
 One component set
 -----------------
@@ -71,7 +74,7 @@ import os
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .bus import BusConfig, BusStats
 from .cache import CacheConfig, CacheStats
@@ -86,6 +89,7 @@ from .core import (
     _compile_segment,
     _CompiledSegment,
     _Locality,
+    _memoized,
 )
 from .fpu import FpuStats
 from .memory import MemoryConfig, MemoryStats
@@ -194,42 +198,7 @@ def batch_unsupported_reason(
 # Trace compilation (trace-pure preprocessing, shared by all runs)
 # ----------------------------------------------------------------------
 
-_T = TypeVar("_T")
-
-
-def _memoized(
-    cache: "OrderedDict[Any, Any]",
-    size: int,
-    trace: Trace,
-    core_cfg: CoreConfig,
-    build: Callable[[], _T],
-    *extra: Any,
-) -> _T:
-    """Identity-keyed LRU memo of ``build()`` for one (trace, core
-    config) pair plus hashable ``extra`` key parts.
-
-    The cached entry keeps strong references to the trace and config,
-    so the ``is`` check on lookup makes id reuse after garbage
-    collection impossible while an entry lives.  Compilation costs about
-    one scalar pass over the trace; campaigns build one engine per
-    index block, group and shard, so without the memo each would
-    recompile the same traces.
-    """
-    key = (id(trace), id(core_cfg)) + extra
-    entry = cache.get(key)
-    if entry is not None and entry[0] is trace and entry[1] is core_cfg:
-        cache.move_to_end(key)
-        value: _T = entry[2]
-        return value
-    value = build()
-    cache[key] = (trace, core_cfg, value)
-    cache.move_to_end(key)
-    while len(cache) > size:
-        cache.popitem(last=False)
-    return value
-
-
-#: Memoized compiled segments (see :func:`_memoized`).
+#: Memoized compiled segments (see :func:`~repro.platform.core._memoized`).
 _SEGMENT_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
 _SEGMENT_CACHE_SIZE = 256
 

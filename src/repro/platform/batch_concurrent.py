@@ -94,7 +94,6 @@ from .batch import (
     BatchUnsupported,
     _compiled_segment,
     _cores_unsupported_reason,
-    _memoized,
     _policy_unsupported_reason,
     _VecBus,
     _VecCore,
@@ -111,6 +110,7 @@ from .core import (
     _CompiledSegment,
     _issue_keys,
     _issue_table,
+    _memoized,
 )
 from .cache import CacheStats
 from .fpu import FpuStats
@@ -195,7 +195,7 @@ class _TraceTables:
     wrapped: Optional[_Pass]
 
 
-#: Memoized trace tables (see :func:`~repro.platform.batch._memoized`).
+#: Memoized trace tables (see :func:`~repro.platform.core._memoized`).
 _TABLE_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
 _TABLE_CACHE_SIZE = 128
 

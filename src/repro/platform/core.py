@@ -20,8 +20,13 @@ Two paths execute a trace, with bit-identical results:
   instructions that touch per-run state remain: one event per
   fetch-line change or load/store.  The events are then drained
   through the stateful cache, TLB, bus, DRAM and store-buffer models.
-  The single-core vector engine (:mod:`repro.platform.batch`) consumes
-  the same compile.
+  The compile is a pure function of the trace and the core
+  configuration, so each core keeps a small LRU of compiled segments
+  keyed by trace identity (:func:`_memoized`): a trace object executed
+  again — in a later run of the same campaign, say — is not
+  recompiled.  The single-core vector engine
+  (:mod:`repro.platform.batch`) consumes the same compile through the
+  same helper.
 * :class:`CoreStepper` executes one instruction at a time through every
   model.  It is the resumable path
   :meth:`repro.platform.soc.Platform.run_concurrent` interleaves in
@@ -41,11 +46,11 @@ Micro-architectural shortcuts, all timing-neutral or conservative:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, compress, count, repeat
 from operator import ne, or_, rshift
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple, TypeVar
 
 from .bus import Bus
 from .cache import Cache, CacheConfig, CacheStats
@@ -92,6 +97,14 @@ _Event = Tuple[int, int, int, int, int, int, int]
 #: a stepper probed (-1 = none yet, a fresh :class:`CoreStepper`).
 _Locality = Tuple[int, int, int]
 _COLD: _Locality = (-1, -1, -1)
+
+#: Compiled segments each :class:`Core` keeps.  A TVCA run executes a
+#: handful of job traces; equal jobs share one trace object across the
+#: runs of a campaign, and the cap keeps them warm while the traces
+#: that change from run to run cycle through.
+_CORE_SEGMENT_CACHE_SIZE = 16
+
+_T = TypeVar("_T")
 
 
 def _issue_keys(trace: Trace) -> Iterator[_IssueKey]:
@@ -256,6 +269,38 @@ def _compile_segment(
     )
 
 
+def _memoized(
+    cache: "OrderedDict[Any, Any]",
+    size: int,
+    trace: Trace,
+    core_cfg: CoreConfig,
+    build: Callable[[], _T],
+    *extra: Any,
+) -> _T:
+    """Identity-keyed LRU memo of ``build()`` for one (trace, core
+    config) pair plus hashable ``extra`` key parts.
+
+    The cached entry keeps strong references to the trace and config,
+    so the ``is`` check on lookup makes id reuse after garbage
+    collection impossible while an entry lives.  Compilation costs about
+    one scalar pass over the trace; :meth:`Core.execute` and the vector
+    engines all memoize through this helper, so each compiles a trace
+    object once per cache rather than once per run, engine or shard.
+    """
+    key = (id(trace), id(core_cfg)) + extra
+    entry = cache.get(key)
+    if entry is not None and entry[0] is trace and entry[1] is core_cfg:
+        cache.move_to_end(key)
+        value: _T = entry[2]
+        return value
+    value = build()
+    cache[key] = (trace, core_cfg, value)
+    cache.move_to_end(key)
+    while len(cache) > size:
+        cache.popitem(last=False)
+    return value
+
+
 def _accumulate_pipeline(total: PipelineStats, part: PipelineStats) -> None:
     total.instructions += part.instructions
     total.base_cycles += part.base_cycles
@@ -360,6 +405,10 @@ class Core:
         self.fpu = Fpu(config.fpu)
         self.pipeline = PipelineModel(config.pipeline)
         self._store_buffer_ready: List[int] = []
+        # Compiled segments by trace identity (see execute).  Not cleared
+        # by prepare_run: the compile depends on the trace and the core
+        # configuration only, never on per-run state.
+        self._segments: "OrderedDict[Any, Any]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Run protocol
@@ -405,10 +454,19 @@ class Core:
         core's counters.  Hardware state — caches, TLBs, store buffer,
         bus horizon — carries over from the previous call; fetch and
         translation locality restart, as for a fresh :class:`CoreStepper`.
-        Bit-identical to draining a stepper.  Nothing is memoized: each
-        call compiles its trace afresh.
+        Bit-identical to draining a stepper.  The compile is memoized per
+        core by trace identity (an LRU of
+        :data:`_CORE_SEGMENT_CACHE_SIZE` segments that lives as long as
+        the core), so traces must not be mutated once executed.
         """
-        compiled = _compile_segment(trace, self.config)
+        config = self.config
+        compiled = _memoized(
+            self._segments,
+            _CORE_SEGMENT_CACHE_SIZE,
+            trace,
+            config,
+            lambda: _compile_segment(trace, config),
+        )
         icache_read = self.icache.read
         dcache_read = self.dcache.read
         dcache_write = self.dcache.write

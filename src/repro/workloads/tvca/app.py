@@ -26,15 +26,16 @@ program-level paths a tool would distinguish on the real TVCA.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
 from ...platform.soc import Platform
 from ...platform.prng import derive_seed
 from ...platform.trace import Trace
-from ...programs.compiler import generate_trace
+from ...programs.compiler import PathSignature, generate_trace
 from ...programs.layout import LayoutConfig, LinkedImage, link
-from ...programs.dsl import Block, Call, Program, alu
+from ...programs.dsl import Block, Call, Env, Program, alu
 from .controller import (
     AxisController,
     PidConfig,
@@ -52,6 +53,15 @@ from .tasks import (
 )
 
 __all__ = ["TvcaConfig", "TvcaRunResult", "TvcaRunPlan", "TvcaApplication"]
+
+#: Job traces an application keeps (the workloads' trace-cache cap).
+_JOB_TRACE_CACHE_SIZE = 128
+
+#: A job's emission key: the task name and, per env entry, its name,
+#: type and repr, so values that compare equal but emit differently
+#: (``0.0``/``-0.0``, ``True``/``1``/``1.0``) never share a trace.
+_JobKey = Tuple[str, Tuple[Tuple[str, Type[object], str], ...]]
+_Emitted = Tuple[Trace, PathSignature]
 
 
 @dataclass(frozen=True)
@@ -201,6 +211,7 @@ class TvcaApplication:
             self.TASK_ACT_X: self._act_x_program,
             self.TASK_ACT_Y: self._act_y_program,
         }
+        self._job_traces: "OrderedDict[_JobKey, _Emitted]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Environment construction
@@ -214,13 +225,38 @@ class TvcaApplication:
     # ------------------------------------------------------------------
     # Trace planning (platform-independent)
     # ------------------------------------------------------------------
+    def _job_trace(self, name: str, env: Env) -> _Emitted:
+        """The trace and path signature of one ``name`` job under ``env``.
+
+        Memoized in a bounded LRU: emission is a pure function of the
+        program, the image and the env, so equal jobs — within a run or
+        across a campaign's runs — share one :class:`Trace` object, which
+        :meth:`~repro.platform.core.Core.execute` then compiles once.
+        Shared traces are read-only.
+        """
+        key: _JobKey = (
+            name,
+            tuple((k, type(v), repr(v)) for k, v in env.items()),
+        )
+        cache = self._job_traces
+        emitted = cache.get(key)
+        if emitted is None:
+            emitted = generate_trace(self._programs[name], self.image, env)
+            cache[key] = emitted
+            if len(cache) > _JOB_TRACE_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+        return emitted
+
     def build_plan(self, input_seed: int) -> TvcaRunPlan:
         """Run the closed control loop and build every job's trace.
 
         Pure function of ``input_seed``: the plant, sensor processing and
         controller mathematics never observe platform timing, so the
         traces (and the executed path) are fully determined before a
-        single instruction is simulated.
+        single instruction is simulated.  Jobs with equal inputs share
+        one trace object (see :meth:`_job_trace`).
         """
         cfg = self.config
         plant = TvcPlant(cfg.plant, input_seed)
@@ -285,7 +321,7 @@ class TvcaApplication:
                     "aero_idx_y": self._aero_index(filtered[2]),
                 }
 
-            trace, signature = generate_trace(self._programs[name], self.image, env)
+            trace, signature = self._job_trace(name, env)
             traces.append(trace)
             signatures.append(f"{name}[{job.index}]:{signature.as_key()}")
 

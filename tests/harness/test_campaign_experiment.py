@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import (
+    AnalysisRequest,
     CampaignRequest,
     CampaignRunner,
     ProgramWorkload,
@@ -236,14 +237,11 @@ class TestScenarioBandSummary:
 
 class TestDetRandBands:
     def test_analyse_rand_and_mbta_verdict(self):
-        from repro.core import AnalysisConfig, mbta_bound
+        from repro.core import mbta_bound
 
         comparison = _det_rand(runs=250, base_seed=7)
         analysis = comparison.analyse_rand(
-            AnalysisConfig(
-                min_path_samples=120, check_convergence=False, ci=0.9,
-                bootstrap=100,
-            )
+            AnalysisRequest(min_path_samples=120, ci=0.9, bootstrap=100)
         )
         mbta = mbta_bound(comparison.det_sample.values)
         verdict = comparison.mbta_vs_band(analysis, 1e-12, mbta.bound)

@@ -11,11 +11,13 @@ model: random traces on random configurations must give equal
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.platform.core as core_module
 from repro.platform.batch import batch_unsupported_reason, numpy_available, run_batch
 from repro.platform.bus import BusConfig
 from repro.platform.cache import CacheConfig
@@ -244,3 +246,87 @@ def test_without_numpy_campaigns_fall_back_to_scalar():
     reference = leon3_det(num_cores=1)
     expected = [reference.run(trace, seed) for seed in (1, 2)]
     assert run_batch(det, trace, [1, 2]) == expected
+
+
+class TestCompileMemo:
+    """``Core.execute`` compiles each trace object once per core."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        compiled = []
+        compile_segment = core_module._compile_segment
+
+        def counting(trace, core_cfg, *args):
+            compiled.append((trace, core_cfg))
+            return compile_segment(trace, core_cfg, *args)
+
+        monkeypatch.setattr(core_module, "_compile_segment", counting)
+        return compiled
+
+    def test_once_per_core_across_resets(self, compiles):
+        trace = make_trace(nan_class_spec())
+        platform = leon3_rand(num_cores=2, cache_kb=1)
+        for seed in (1, 2, 3):
+            platform.reset(seed)
+            platform.cores[0].execute(trace)
+            platform.cores[0].execute(trace, start_cycle=7)
+        platform.cores[0].prepare_run(9)
+        platform.cores[0].execute(trace)
+        assert len(compiles) == 1
+        platform.cores[1].execute(trace)
+        assert len(compiles) == 2
+
+    def test_other_core_config_compiles_its_own(self, compiles):
+        trace = make_trace(nan_class_spec())
+        small = leon3_rand(num_cores=1, cache_kb=1)
+        config = small.config
+        wide = replace(
+            config,
+            core=replace(
+                config.core, icache=replace(config.core.icache, line_bytes=16)
+            ),
+        )
+        other = Platform(wide)
+        seeds = (4, 5, 6)
+        small_results = [small.run(trace, seed) for seed in seeds]
+        other_results = [other.run(trace, seed) for seed in seeds]
+        assert [cfg for _, cfg in compiles] == [config.core, wide.core]
+        assert small_results != other_results
+        # Each equals a fresh core's (whose first execute compiles anew).
+        assert small_results == [Platform(config).run(trace, s) for s in seeds]
+        assert other_results == [Platform(wide).run(trace, s) for s in seeds]
+
+    def test_memoized_runs_match_stepper(self):
+        """A trace executed again drains the memoized compile: results and
+        hardware state still equal the stepper's, segment by segment."""
+        config = leon3_rand(num_cores=1, cache_kb=1, fpu_mode=FpuMode.OPERATION).config
+        trace = make_trace(nan_class_spec())
+        compiled = Platform(config)
+        stepped = Platform(config)
+        for seed in (11, 12):
+            compiled.reset(seed)
+            stepped.reset(seed)
+            for start_cycle in (0, 9, 0):
+                stepper = stepped.cores[0].stepper(trace, start_cycle=start_cycle)
+                while not stepper.done:
+                    stepper.advance(50)
+                actual = compiled.cores[0].execute(trace, start_cycle=start_cycle)
+                assert actual == stepper.result()
+                assert hardware_state(compiled) == hardware_state(stepped)
+
+    def test_lru_stays_within_cap(self, compiles):
+        cap = core_module._CORE_SEGMENT_CACHE_SIZE
+        core = leon3_rand(num_cores=1, cache_kb=1).cores[0]
+        traces = [
+            make_trace([(InstrKind.ALU, 0, False, 0.0, 1, 0, 0)] * (n + 1))
+            for n in range(cap + 5)
+        ]
+        for trace in traces:
+            core.execute(trace)
+            assert len(core._segments) <= cap
+        assert len(core._segments) == cap
+        assert len(compiles) == cap + 5
+        core.execute(traces[-1])  # most recent: still cached
+        assert len(compiles) == cap + 5
+        core.execute(traces[0])  # least recent: evicted, compiled again
+        assert len(compiles) == cap + 6

@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro.platform.core as core_module
+from repro.harness.campaign import CampaignConfig
+from repro.platform.batch import numpy_available, run_batch_segments
 from repro.platform.soc import leon3_det, leon3_rand
-from repro.platform.trace import InstrKind
+from repro.platform.trace import InstrKind, Trace
 from repro.programs.compiler import generate_trace
 from repro.programs.layout import link
 from repro.workloads.tvca.app import TvcaApplication, TvcaConfig
@@ -140,3 +143,118 @@ class TestApplication:
         cfg = TvcaConfig()
         assert cfg.actuator_period_cycles == int(0.020 * 50e6)
         assert cfg.sensor_period_cycles == cfg.actuator_period_cycles // 2
+
+
+def columns(trace):
+    """Copies of every column of ``trace``."""
+    return tuple(list(getattr(trace, name)) for name in Trace.__slots__)
+
+
+ACT_X_ENV = {
+    "steps_x": 3,
+    "iclamp_x": False,
+    "sat_x": True,
+    "div_class_x": 0.5,
+    "sqrt_class_x": 0.4,
+    "sqrt_class": 0.4,
+    "aero_idx_x": 10,
+}
+
+
+class TestJobTraceMemo:
+    """Equal jobs share one emitted trace, and executing it mutates
+    nothing, so sharing it is observation-neutral."""
+
+    def test_equal_jobs_share_one_trace(self, small_app):
+        first = small_app._job_trace(TvcaApplication.TASK_ACT_X, dict(ACT_X_ENV))
+        second = small_app._job_trace(TvcaApplication.TASK_ACT_X, dict(ACT_X_ENV))
+        assert first[0] is second[0]
+        assert first[1] is second[1]
+
+    @pytest.mark.parametrize(
+        "name,left,right",
+        [
+            ("div_class_x", 0.0, -0.0),
+            ("div_class_x", 1, 1.0),
+            ("iclamp_x", True, 1),
+            ("iclamp_x", True, 1.0),
+        ],
+    )
+    def test_equal_values_of_other_types_do_not_share(
+        self, small_app, name, left, right
+    ):
+        assert left == right
+        task = TvcaApplication.TASK_ACT_X
+        a, _ = small_app._job_trace(task, {**ACT_X_ENV, name: left})
+        b, _ = small_app._job_trace(task, {**ACT_X_ENV, name: right})
+        assert a is not b
+
+    def test_faults_of_other_types_do_not_share(self, small_app):
+        task = TvcaApplication.TASK_SENSOR
+        a, _ = small_app._job_trace(
+            task, {"faults": (True, False, False, False), "telemetry_slot": 0}
+        )
+        b, _ = small_app._job_trace(task, {"faults": (1, 0, 0, 0), "telemetry_slot": 0})
+        assert a is not b
+
+    def test_warm_and_fresh_apps_plan_equal_traces(self, small_app):
+        for input_seed in (1, 2, 3):
+            small_app.build_plan(input_seed)
+        warm = small_app.build_plan(2)
+        fresh = TvcaApplication(small_app.config).build_plan(2)
+        assert warm.signatures == fresh.signatures
+        assert warm.full_signature == fresh.full_signature
+        assert [columns(t) for t in warm.traces] == [columns(t) for t in fresh.traces]
+
+    def test_plan_traces_unchanged_by_run_once(self, small_app):
+        plan = small_app.build_plan(7)
+        before = [columns(t) for t in plan.traces]
+        platform = leon3_rand(num_cores=1, cache_kb=4)
+        small_app.run_once(platform, run_seed=3, input_seed=7)
+        small_app.run_once(platform, run_seed=4, input_seed=7)
+        replanned = small_app.build_plan(7)
+        assert all(a is b for a, b in zip(replanned.traces, plan.traces))
+        assert [columns(t) for t in plan.traces] == before
+
+    @pytest.mark.skipif(not numpy_available(), reason="batch engine requires numpy")
+    def test_plan_traces_unchanged_by_plan_batch_execution(self, small_app):
+        from repro.api.workload import TvcaWorkload
+
+        workload = TvcaWorkload(app=small_app)
+        platform = leon3_rand(num_cores=1, cache_kb=4)
+        plan = workload.plan_batch(platform, 0, run_seed=3, input_seed=7)
+        assert plan is not None
+        before = [columns(t) for t in plan.segments]
+        run_batch_segments(platform, plan.segments, [3, 4, 5])
+        assert [columns(t) for t in plan.segments] == before
+
+    def test_varied_campaign_compiles_each_sensor_trace_once(self, monkeypatch):
+        """The `repro run` default: 12 runs with varied inputs execute 48
+        sensor jobs, whose traces differ only in the telemetry slot."""
+        compiled = []
+        compile_segment = core_module._compile_segment
+
+        def counting(trace, core_cfg, *args):
+            compiled.append(trace)
+            return compile_segment(trace, core_cfg, *args)
+
+        monkeypatch.setattr(core_module, "_compile_segment", counting)
+        app = TvcaApplication()
+        campaign = CampaignConfig(runs=12, vary_inputs=True)
+        platform = leon3_rand(num_cores=1, cache_kb=4)
+        for run_index in range(campaign.runs):
+            app.run_once(
+                platform,
+                campaign.platform_seed(run_index),
+                campaign.input_seed(run_index),
+            )
+        plan = app.build_plan(campaign.input_seed(0))
+        sensor_entries = {
+            trace.pcs[0]
+            for job, trace in zip(plan.jobs, plan.traces)
+            if job.task.name == TvcaApplication.TASK_SENSOR
+        }
+        assert len(plan.jobs) == 8 and len(sensor_entries) == 1
+        assert len(compiled) >= 12 * 4  # the actuator jobs vary per run
+        sensor_compiles = [t for t in compiled if t.pcs[0] in sensor_entries]
+        assert 1 <= len(sensor_compiles) <= 4
