@@ -13,8 +13,13 @@ full-size TVCA working set instead of the scaled-pressure configuration
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import os
+import statistics
+import time
 from pathlib import Path
+from typing import Any, Callable, List, Tuple
 
 import pytest
 
@@ -43,6 +48,74 @@ else:
     # one quarter of the simulation cost.
     APP_CONFIG = TvcaConfig(estimator_dim=20, aero_window=32)
     CACHE_KB = 4
+
+
+def _load_host_speed() -> Any:
+    """``perfbench/common.py``'s ``HostSpeed``, loaded from its file
+    (``perfbench/`` is not a package, and stays off ``sys.path``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HostSpeed
+
+
+#: The host-speed probe: a fixed reference workload (interpreted loop,
+#: small-array numpy steps, JSON round trip) whose mean time on the
+#: reference host is ``HostSpeed.NOMINAL_S``.
+HostSpeed = _load_host_speed()
+
+#: Probes taken just before and just after each timed repetition.
+HOST_PROBES = 3
+
+
+def normalized_timings(
+    fn: Callable[[], Any], repeats: int
+) -> Tuple[Any, List[float], List[float]]:
+    """Time ``fn()`` ``repeats`` times, each bracketed by host probes.
+
+    Returns the first result, the walls, and per repetition the host
+    index: the median of the :data:`HOST_PROBES` probes just before and
+    just after it, over the reference time (1.0 = the reference host at
+    nominal speed, 1.3 = running 30% slow).  The median keeps one
+    disturbed probe from moving the index, and one unrecorded probe runs
+    first, because the first probes of a process run cold.  A rate times
+    its index reads in reference-host units (see :func:`normalized_rate`).
+
+    The heap that exists before the call is frozen out of the collector
+    while timing, so a leg costs the same in a standalone session and at
+    the end of a full test session with a large heap.
+    """
+    result = None
+    walls: List[float] = []
+    indices: List[float] = []
+    HostSpeed().probe()
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(repeats):
+            host = HostSpeed()
+            for _ in range(HOST_PROBES):
+                host.probe()
+            started = time.perf_counter()
+            attempt = fn()
+            walls.append(time.perf_counter() - started)
+            for _ in range(HOST_PROBES):
+                host.probe()
+            indices.append(statistics.median(host.samples) / host.NOMINAL_S)
+            result = attempt if result is None else result
+    finally:
+        gc.unfreeze()
+    return result, walls, indices
+
+
+def normalized_rate(count: float, walls: List[float], indices: List[float]) -> float:
+    """Median over repetitions of ``count / wall * index``: operations
+    per second of the reference host at nominal speed, the unit the
+    bench gate compares across sessions and hosts."""
+    return statistics.median(
+        count / wall * index for wall, index in zip(walls, indices)
+    )
 
 
 def pytest_collection_modifyitems(items):

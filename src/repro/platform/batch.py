@@ -290,10 +290,11 @@ def _expand_basis(
 ) -> Tuple[Any, Any]:
     """Tabulate the ``nbits``-step map over one state half.
 
-    Scalar-steps each single-bit basis state ``1 << (shift_base + j)``
-    with the real :class:`Lfsr` (so tap configuration and output
-    convention cannot drift from the interpreter), then expands to all
-    ``2**count`` subset XORs with the doubling trick.
+    Advances each single-bit basis state ``1 << (shift_base + j)`` with
+    :meth:`Lfsr.bits` — the word-at-a-time step the scalar
+    :class:`CombinedLfsrPrng` draws through, so tap configuration and
+    output convention cannot drift from the interpreter — then expands
+    to all ``2**count`` subset XORs with the doubling trick.
     """
     np = _np
     states = np.zeros(1 << count, dtype=np.uint32)

@@ -125,7 +125,10 @@ class Cache:
 
     The tag store is a per-set list of line addresses (``None`` = invalid
     way).  Lookups scan the (small) way list; for the 4-way L1s this is
-    both faithful and fast.
+    both faithful and fast.  :meth:`read` and :meth:`write` each make the
+    whole probe in one call — memoized set index, ``in`` scan, and the
+    hit touch, which is skipped when the replacement policy's
+    ``needs_touch`` is False (random and round-robin keep no hit state).
     """
 
     def __init__(
@@ -145,6 +148,7 @@ class Cache:
         self.replacement: ReplacementPolicy = make_replacement(
             config.replacement, self.num_sets, self.ways, prng=prng
         )
+        self._needs_touch = self.replacement.needs_touch
         self.seed = 0
         self.stats = CacheStats()
         self._tags: List[List[Optional[int]]] = []
@@ -185,41 +189,28 @@ class Cache:
         """Map a byte address to its line address."""
         return byte_address >> self._line_shift
 
-    def _set_index(self, line: int) -> int:
-        """Set index of ``line`` under the current seed (memoized)."""
-        set_index = self._set_memo.get(line)
-        if set_index is None:
-            set_index = self.placement.set_index(line, self.seed)
-            self._set_memo[line] = set_index
-        return set_index
-
-    def _lookup(self, set_index: int, line: int) -> int:
-        """Return the way holding ``line`` in ``set_index`` or -1."""
-        ways = self._tags[set_index]
-        if line in ways:
-            return ways.index(line)
-        return -1
-
     def _allocate(self, set_index: int, line: int) -> None:
         """Insert ``line`` into ``set_index``, evicting if full."""
         ways = self._tags[set_index]
-        for way, tag in enumerate(ways):
-            if tag is None:
-                ways[way] = line
-                self.replacement.fill(set_index, way)
-                return
-        way = self.replacement.victim(set_index)
+        if None in ways:
+            way = ways.index(None)
+        else:
+            way = self.replacement.victim(set_index)
+            self.stats.evictions += 1
         ways[way] = line
-        self.stats.evictions += 1
         self.replacement.fill(set_index, way)
 
     def read(self, byte_address: int) -> bool:
         """Look up a read; allocate on miss.  Returns True on hit."""
         line = byte_address >> self._line_shift
-        set_index = self._set_index(line)
-        way = self._lookup(set_index, line)
-        if way >= 0:
-            self.replacement.touch(set_index, way)
+        set_index = self._set_memo.get(line)
+        if set_index is None:
+            set_index = self.placement.set_index(line, self.seed)
+            self._set_memo[line] = set_index
+        ways = self._tags[set_index]
+        if line in ways:
+            if self._needs_touch:
+                self.replacement.touch(set_index, ways.index(line))
             self.stats.read_hits += 1
             return True
         self.stats.read_misses += 1
@@ -235,10 +226,14 @@ class Cache:
         the bus by the core model — the cache only answers hit/miss.
         """
         line = byte_address >> self._line_shift
-        set_index = self._set_index(line)
-        way = self._lookup(set_index, line)
-        if way >= 0:
-            self.replacement.touch(set_index, way)
+        set_index = self._set_memo.get(line)
+        if set_index is None:
+            set_index = self.placement.set_index(line, self.seed)
+            self._set_memo[line] = set_index
+        ways = self._tags[set_index]
+        if line in ways:
+            if self._needs_touch:
+                self.replacement.touch(set_index, ways.index(line))
             self.stats.write_hits += 1
             return True
         self.stats.write_misses += 1
@@ -249,8 +244,11 @@ class Cache:
     def contains(self, byte_address: int) -> bool:
         """Non-mutating residency probe (for tests and invariants)."""
         line = byte_address >> self._line_shift
-        set_index = self._set_index(line)
-        return self._lookup(set_index, line) >= 0
+        set_index = self._set_memo.get(line)
+        if set_index is None:
+            set_index = self.placement.set_index(line, self.seed)
+            self._set_memo[line] = set_index
+        return line in self._tags[set_index]
 
     def resident_lines(self) -> List[int]:
         """All resident line addresses (order unspecified)."""

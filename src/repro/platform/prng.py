@@ -11,7 +11,7 @@ degraded generator is detected in the field.
 This module provides:
 
 * :class:`Lfsr` — a single Fibonacci LFSR over GF(2) with a maximal-length
-  tap configuration.
+  tap configuration, advanced a word at a time (see below).
 * :class:`CombinedLfsrPrng` — the platform PRNG: several co-prime LFSRs
   XOR-combined, one output bit per LFSR step, exposing the integer/float
   helpers the rest of the platform needs.
@@ -25,6 +25,19 @@ This module provides:
 
 All generators in this module are deterministic functions of their seed,
 which is what makes measurement campaigns reproducible.
+
+Word form.  For its first ``min(taps)`` steps a Fibonacci LFSR's
+feedback reads only bits of the *current* state, so ``k <= min(taps)``
+steps collapse into three word operations: the ``k`` outputs are
+``state >> (degree - k)``, the ``k`` feedback bits are the XOR over taps
+of ``state >> (tap - k)`` masked to ``k`` bits, and the new state is
+``((state << k) & mask) | feedback``.  :meth:`Lfsr.bits` advances in
+chunks of at most ``min(taps)`` (14 for degrees 17 and 19), and
+:meth:`Lfsr.step` is ``bits(1)``, so there is one step implementation;
+the vector engine's step tables (``batch._StepTables``) are built from
+it too.  :class:`CombinedLfsrPrng` XORs whole ``bits()`` words and keeps
+a short look-ahead of combined output bits, which draws consume; the
+bit stream is exactly the bit-serial one.
 """
 
 from __future__ import annotations
@@ -56,6 +69,10 @@ _MAXIMAL_TAPS = {
 
 _MASK64 = (1 << 64) - 1
 
+#: Combined output bits :class:`CombinedLfsrPrng` generates per refill of
+#: its look-ahead.
+_LOOKAHEAD_BITS = 64
+
 
 class Lfsr:
     """A Fibonacci linear feedback shift register over GF(2).
@@ -79,6 +96,9 @@ class Lfsr:
         self.degree = degree
         self.taps: Tuple[int, ...] = _MAXIMAL_TAPS[degree]
         self._mask = (1 << degree) - 1
+        # Steps per word: the feedback of the first min(taps) steps
+        # reads only the current state.
+        self._chunk = min(self.taps)
         state = seed & self._mask
         if state == 0:
             # Remap the all-zero state: any nonzero constant works and
@@ -93,18 +113,31 @@ class Lfsr:
         bit is the XOR of the tap positions and shifts in at the LSB;
         the outgoing MSB is the output.
         """
-        feedback = 0
-        for tap in self.taps:
-            feedback ^= (self.state >> (tap - 1)) & 1
-        out = (self.state >> (self.degree - 1)) & 1
-        self.state = ((self.state << 1) & self._mask) | feedback
-        return out
+        return self.bits(1)
 
     def bits(self, n: int) -> int:
-        """Return an ``n``-bit integer built MSB-first from ``n`` steps."""
+        """Advance ``n`` steps; return their outputs as an ``n``-bit
+        integer, MSB first (the first step's output is the top bit).
+
+        Steps run in words of at most ``min(taps)`` bits, over which the
+        feedback reads only the current state (see the module
+        docstring).
+        """
+        state = self.state
+        degree = self.degree
+        taps = self.taps
+        mask = self._mask
+        chunk = self._chunk
         value = 0
-        for _ in range(n):
-            value = (value << 1) | self.step()
+        while n > 0:
+            k = chunk if n > chunk else n
+            feedback = 0
+            for tap in taps:
+                feedback ^= state >> (tap - k)
+            value = (value << k) | (state >> (degree - k))
+            state = ((state << k) & mask) | (feedback & ((1 << k) - 1))
+            n -= k
+        self.state = state
         return value
 
     @property
@@ -127,6 +160,15 @@ class CombinedLfsrPrng:
     placement seeds, replacement victims, DRAM refresh phase.  Reseeding
     the instance reproduces the paper's "new seed for each experiment"
     protocol.
+
+    Draws read a look-ahead of combined output bits, refilled
+    :data:`_LOOKAHEAD_BITS` at a time by XORing each LFSR's
+    :meth:`Lfsr.bits` word, so a 2-bit victim draw usually costs a shift
+    and a mask instead of eight LFSR steps.  The LFSRs therefore run
+    ahead of the draws: ``_lfsrs[i].state`` is the state after the last
+    refill, not after the last bit drawn.  The drawn bit stream is
+    exactly the bit-serial one, and :meth:`reseed` discards the
+    look-ahead.
     """
 
     #: LFSR degrees used by the combined generator.
@@ -135,6 +177,8 @@ class CombinedLfsrPrng:
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self._lfsrs: List[Lfsr] = []
+        self._ahead = 0
+        self._ahead_bits = 0
         self.reseed(seed)
 
     def reseed(self, seed: int) -> None:
@@ -142,25 +186,39 @@ class CombinedLfsrPrng:
 
         Each LFSR receives a distinct sub-seed derived with a SplitMix64
         expansion so that nearby integer seeds do not produce correlated
-        register states.
+        register states.  Bits generated ahead under the old seed are
+        discarded.
         """
         self.seed = int(seed)
         expander = SplitMix64(seed)
         self._lfsrs = [Lfsr(deg, expander.next_u64()) for deg in self.DEGREES]
+        self._ahead = 0
+        self._ahead_bits = 0
 
     def next_bit(self) -> int:
         """Return the next pseudo-random bit."""
-        bit = 0
-        for lfsr in self._lfsrs:
-            bit ^= lfsr.step()
-        return bit
+        return self.next_bits(1)
 
     def next_bits(self, n: int) -> int:
-        """Return an ``n``-bit pseudo-random integer."""
-        value = 0
-        for _ in range(n):
-            value = (value << 1) | self.next_bit()
-        return value
+        """Return an ``n``-bit pseudo-random integer (the next ``n`` bits
+        of the stream, MSB first)."""
+        have = self._ahead_bits
+        if n > have:
+            ahead = self._ahead
+            while n > have:
+                word = 0
+                for lfsr in self._lfsrs:
+                    word ^= lfsr.bits(_LOOKAHEAD_BITS)
+                ahead = (ahead << _LOOKAHEAD_BITS) | word
+                have += _LOOKAHEAD_BITS
+            self._ahead = ahead
+        elif n <= 0:
+            return 0
+        have -= n
+        self._ahead_bits = have
+        ahead = self._ahead
+        self._ahead = ahead & ((1 << have) - 1)
+        return ahead >> have
 
     def next_u32(self) -> int:
         """Return a 32-bit pseudo-random integer."""
@@ -327,10 +385,12 @@ def runs_test(bits: Sequence[int], max_run: int = 34) -> HealthTestResult:
 
 
 def poker_test(bits: Sequence[int]) -> HealthTestResult:
-    """FIPS 140-2 poker test on 4-bit nibbles.
+    """Poker test on 4-bit nibbles, with the FIPS 140-1 acceptance band.
 
-    The chi-square style statistic ``X`` must fall in (2.16, 46.17) for a
-    20,000-bit window; the acceptance band scales safely for other sizes
+    The chi-square style statistic ``X`` must fall in (1.03, 57.4), the
+    band FIPS 140-1 sets for a 20,000-bit window (FIPS 140-2 later
+    narrowed it to (2.16, 46.17); this check keeps the wider 140-1 band).
+    The band is applied unscaled to other window sizes, which is safe
     because we only use windows >= 4,000 bits in practice.
     """
     usable = len(bits) - (len(bits) % 4)

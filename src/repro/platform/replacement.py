@@ -17,8 +17,11 @@ for ablations:
 * :class:`RandomReplacement` — the MBPTA-compliant policy.
 
 Each policy instance owns its per-set metadata; caches create one policy
-object per cache.  ``touch`` is called on every hit, ``victim`` on every
-allocation into a full set, and ``reset`` between runs.
+object per cache.  ``touch`` is called on every hit of a policy whose
+``needs_touch`` is True, ``fill`` on every allocation, ``victim`` on
+every allocation into a full set, and ``reset`` between runs.  Policies
+whose ``touch`` is a no-op (random, round-robin) set ``needs_touch`` to
+False, and caches and TLBs skip the call on hits.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ class ReplacementPolicy(ABC):
 
     #: True when victim choice consumes platform randomness.
     randomized: bool = False
+
+    #: False when :meth:`touch` is a no-op (the policy keeps no hit
+    #: state), so callers may skip it on hits.
+    needs_touch: bool = True
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
         if num_sets < 1 or num_ways < 1:
@@ -108,6 +115,7 @@ class RandomReplacement(ReplacementPolicy):
     """
 
     randomized = True
+    needs_touch = False
 
     def __init__(
         self, num_sets: int, num_ways: int, prng: Optional[CombinedLfsrPrng] = None
@@ -135,6 +143,7 @@ class RoundRobinReplacement(ReplacementPolicy):
     """FIFO-like rotation: each set evicts ways in cyclic order."""
 
     randomized = False
+    needs_touch = False
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
         super().__init__(num_sets, num_ways)

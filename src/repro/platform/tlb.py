@@ -15,7 +15,7 @@ MBPTA-analysable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, cast
 
 from .prng import CombinedLfsrPrng
 from .replacement import RandomReplacement, ReplacementPolicy, make_replacement
@@ -88,6 +88,10 @@ class Tlb:
 
     Modelled as a single-set cache of virtual page numbers; the
     replacement policy sees set index 0 with ``entries`` ways.
+    ``_entries`` is the way array and ``_index`` maps each resident page
+    to its way, so a lookup is one dict probe.  Entries fill in way order
+    and only :meth:`flush` frees them, so the valid ways are always a
+    prefix of ``_entries`` and the first free way is ``len(_index)``.
     """
 
     def __init__(
@@ -102,12 +106,15 @@ class Tlb:
         self.replacement: ReplacementPolicy = make_replacement(
             config.replacement, 1, config.entries, prng=prng
         )
+        self._needs_touch = self.replacement.needs_touch
         self.stats = TlbStats()
         self._entries: List[Optional[int]] = [None] * config.entries
+        self._index: Dict[int, int] = {}
 
     def flush(self) -> None:
         """Invalidate all entries and reset replacement history."""
         self._entries = [None] * self.config.entries
+        self._index = {}
         self.replacement.reset()
 
     def reseed(self, seed: int) -> None:
@@ -130,9 +137,10 @@ class Tlb:
         a miss costs the configured walk penalty and installs the page.
         """
         page = byte_address >> self._page_shift
-        entries = self._entries
-        if page in entries:
-            self.replacement.touch(0, entries.index(page))
+        way = self._index.get(page)
+        if way is not None:
+            if self._needs_touch:
+                self.replacement.touch(0, way)
             self.stats.hits += 1
             return 0
         self.stats.misses += 1
@@ -140,21 +148,21 @@ class Tlb:
         return self.config.walk_penalty_cycles
 
     def _install(self, page: int) -> None:
-        for way, entry in enumerate(self._entries):
-            if entry is None:
-                self._entries[way] = page
-                self.replacement.fill(0, way)
-                return
-        way = self.replacement.victim(0)
-        self._entries[way] = page
+        entries = self._entries
+        index = self._index
+        way = len(index)
+        if way == len(entries):
+            way = self.replacement.victim(0)
+            # A full TLB holds no None entry.
+            del index[cast(int, entries[way])]
+        entries[way] = page
+        index[page] = way
         self.replacement.fill(0, way)
 
     def contains(self, byte_address: int) -> bool:
         """Non-mutating residency probe."""
-        page = byte_address >> self._page_shift
-        return page in self._entries
+        return (byte_address >> self._page_shift) in self._index
 
     def occupancy(self) -> float:
         """Fraction of valid entries."""
-        valid = sum(1 for entry in self._entries if entry is not None)
-        return valid / float(self.config.entries)
+        return len(self._index) / float(self.config.entries)

@@ -258,3 +258,114 @@ class TestSetIndexMemo:
             assert resident == (line in cache._tags[cache.placement.set_index(line, 4)])
             assert cache.read(addr) == resident
             assert cache.contains(addr)
+
+
+class _RefCache:
+    """List-scan reference: every access computes the set index, scans
+    the ways, touches on every hit and fills the first invalid way."""
+
+    def __init__(self, config, seed):
+        self.config = config
+        self.cache = Cache(config, prng=CombinedLfsrPrng(1))
+        self.cache.reseed(seed)
+        self.tags = [[None] * config.ways for _ in range(config.num_sets)]
+        self.counts = dict(read_hits=0, read_misses=0, write_hits=0,
+                           write_misses=0, evictions=0)
+
+    def _probe(self, addr):
+        line = addr >> self.config.line_shift
+        set_index = self.cache.placement.set_index(line, self.cache.seed)
+        return line, set_index, self.tags[set_index]
+
+    def access(self, is_write, addr):
+        repl = self.cache.replacement
+        line, set_index, ways = self._probe(addr)
+        kind = "write" if is_write else "read"
+        for way, tag in enumerate(ways):
+            if tag == line:
+                repl.touch(set_index, way)
+                self.counts[kind + "_hits"] += 1
+                return True
+        self.counts[kind + "_misses"] += 1
+        if is_write and self.config.write_through_no_allocate:
+            return False
+        for way, tag in enumerate(ways):
+            if tag is None:
+                break
+        else:
+            way = repl.victim(set_index)
+            self.counts["evictions"] += 1
+        ways[way] = line
+        repl.fill(set_index, way)
+        return False
+
+
+class TestProbeMatchesReference:
+    """The one-call probe in ``read``/``write`` against the list scan."""
+
+    accesses = st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=8191)),
+        min_size=1,
+        max_size=200,
+    )
+
+    @pytest.mark.parametrize("replacement", ["random", "lru", "round_robin", "plru"])
+    @pytest.mark.parametrize("placement", ["modulo", "random_modulo", "hash_random"])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        allocate_on_write=st.booleans(),
+        accesses=accesses,
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_counters_and_tags(
+        self, replacement, placement, seed, allocate_on_write, accesses
+    ):
+        config = CacheConfig(
+            size_bytes=1024, line_bytes=32, ways=4, placement=placement,
+            replacement=replacement,
+            write_through_no_allocate=not allocate_on_write,
+        )
+        cache = Cache(config, prng=CombinedLfsrPrng(1))
+        cache.reseed(seed)
+        ref = _RefCache(config, seed)
+        for is_write, addr in accesses:
+            got = (cache.write if is_write else cache.read)(addr)
+            assert got == ref.access(is_write, addr)
+            assert cache.contains(addr) == (
+                (addr >> config.line_shift) in ref._probe(addr)[2]
+            )
+        assert cache._tags == ref.tags
+        for name, count in ref.counts.items():
+            assert getattr(cache.stats, name) == count, name
+
+
+class TestTouchSkipping:
+    """``touch`` is skipped on hits exactly when ``needs_touch`` is False."""
+
+    @pytest.mark.parametrize(
+        "replacement, needs_touch",
+        [("random", False), ("round_robin", False), ("lru", True), ("plru", True)],
+    )
+    def test_touch_calls_on_hits(self, replacement, needs_touch):
+        cache = make_cache(ways=4, replacement=replacement)
+        assert cache.replacement.needs_touch is needs_touch
+        touched = []
+        original = cache.replacement.touch
+        cache.replacement.touch = lambda s, w: (touched.append((s, w)), original(s, w))
+        cache.read(0x40)
+        del touched[:]  # the miss's fill may touch; count hits only
+        cache.read(0x40)
+        cache.write(0x40)
+        assert len(touched) == (2 if needs_touch else 0)
+
+    @pytest.mark.parametrize("replacement", ["random", "round_robin"])
+    def test_skipped_touch_is_a_no_op(self, replacement):
+        """Touching a policy that declares no hit state leaves its victim
+        sequence unchanged."""
+        from repro.platform.replacement import make_replacement
+
+        plain = make_replacement(replacement, 2, 4, prng=CombinedLfsrPrng(5))
+        touched = make_replacement(replacement, 2, 4, prng=CombinedLfsrPrng(5))
+        for k in range(40):
+            touched.touch(k % 2, k % 4)
+            assert plain.victim(k % 2) == touched.victim(k % 2)

@@ -15,6 +15,183 @@ from repro.platform.prng import (
     runs_test,
 )
 
+# ----------------------------------------------------------------------
+# Bit-serial reference: one feedback round per output bit, no look-ahead.
+# The word-at-a-time generators must reproduce it exactly.
+# ----------------------------------------------------------------------
+
+_REF_TAPS = {17: (17, 14), 19: (19, 18, 17, 14), 23: (23, 18), 29: (29, 27)}
+
+
+class _RefLfsr:
+    """Fibonacci LFSR stepped one bit at a time (left shift, feedback in
+    at the LSB, output the outgoing MSB)."""
+
+    def __init__(self, degree, seed):
+        self.degree = degree
+        self.mask = (1 << degree) - 1
+        self.state = (seed & self.mask) or 1
+
+    def step(self):
+        feedback = 0
+        for tap in _REF_TAPS[self.degree]:
+            feedback ^= (self.state >> (tap - 1)) & 1
+        out = (self.state >> (self.degree - 1)) & 1
+        self.state = ((self.state << 1) & self.mask) | feedback
+        return out
+
+    def bits(self, n):
+        value = 0
+        for _ in range(n):
+            value = (value << 1) | self.step()
+        return value
+
+
+class _RefCombined:
+    """The combined generator with every draw stepping all four LFSRs per
+    output bit."""
+
+    def __init__(self, seed):
+        self.reseed(seed)
+
+    def reseed(self, seed):
+        expander = SplitMix64(seed)
+        self.lfsrs = [
+            _RefLfsr(degree, expander.next_u64())
+            for degree in CombinedLfsrPrng.DEGREES
+        ]
+
+    def next_bit(self):
+        bit = 0
+        for lfsr in self.lfsrs:
+            bit ^= lfsr.step()
+        return bit
+
+    def next_bits(self, n):
+        value = 0
+        for _ in range(n):
+            value = (value << 1) | self.next_bit()
+        return value
+
+    def randint(self, n):
+        if n == 1:
+            return 0
+        bits = (n - 1).bit_length()
+        while True:
+            value = self.next_bits(bits)
+            if value < n:
+                return value
+
+    def random(self):
+        return self.next_bits(32) / float(1 << 32)
+
+    def fork(self):
+        return _RefCombined(self.next_bits(63))
+
+
+#: Draw operations interleaved by the equivalence property; widths cross
+#: the 14-bit word of the degree-17/19 registers, the 29-bit register and
+#: the 64-bit look-ahead.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("next_bit"), st.just(0)),
+        st.tuples(st.just("next_bits"), st.integers(min_value=1, max_value=70)),
+        st.tuples(st.just("randint"), st.integers(min_value=1, max_value=100)),
+        st.tuples(st.just("random"), st.just(0)),
+        st.tuples(st.just("fork"), st.just(0)),
+        st.tuples(st.just("reseed"), st.integers(min_value=0, max_value=2**64)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _apply(prng, op, arg):
+    """Run one draw; ``fork`` swaps in the child, as a component would."""
+    if op == "next_bit":
+        return prng, prng.next_bit()
+    if op == "next_bits":
+        return prng, prng.next_bits(arg)
+    if op == "randint":
+        return prng, prng.randint(arg)
+    if op == "random":
+        return prng, prng.random()
+    if op == "reseed":
+        prng.reseed(arg)
+        return prng, None
+    child = prng.fork()
+    return child, child.next_bits(9)
+
+
+class TestWordFormMatchesBitSerial:
+    @given(
+        degree=st.sampled_from(sorted(_REF_TAPS)),
+        seed=st.integers(min_value=0, max_value=2**64),
+        widths=st.lists(st.integers(min_value=0, max_value=90), max_size=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lfsr_bits_and_state(self, degree, seed, widths):
+        lfsr = Lfsr(degree, seed)
+        ref = _RefLfsr(degree, seed)
+        for n in widths:
+            assert lfsr.bits(n) == ref.bits(n)
+            assert lfsr.state == ref.state
+            assert lfsr.step() == ref.step()
+            assert lfsr.state == ref.state
+
+    @given(seed=st.integers(min_value=0, max_value=2**64), ops=_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_draws(self, seed, ops):
+        prng = CombinedLfsrPrng(seed)
+        ref = _RefCombined(seed)
+        for op, arg in ops:
+            prng, got = _apply(prng, op, arg)
+            ref, want = _apply(ref, op, arg)
+            assert got == want, (op, arg)
+
+    @pytest.mark.parametrize("drawn", [1, 7, 63, 64, 65, 130])
+    def test_reseed_discards_look_ahead(self, drawn):
+        prng = CombinedLfsrPrng(0x5EED)
+        prng.next_bits(drawn)
+        prng.reseed(0xFACE)
+        fresh = CombinedLfsrPrng(0xFACE)
+        assert [prng.next_bits(13) for _ in range(20)] == [
+            fresh.next_bits(13) for _ in range(20)
+        ]
+
+    def test_pinned_draws(self):
+        """Absolute draws for seed 0x5EED, recorded from the bit-serial
+        implementation this generator replaced."""
+        prng = CombinedLfsrPrng(0x5EED)
+        assert [prng.next_bits(8) for _ in range(8)] == [
+            43, 193, 50, 77, 161, 64, 55, 243,
+        ]
+        assert [prng.randint(5) for _ in range(8)] == [4, 4, 4, 0, 4, 2, 2, 2]
+        assert prng.next_bits(63) == 7385206328233646436
+        assert prng.random() == 0.5201873099431396
+
+    def test_non_positive_width_draws_nothing(self):
+        prng = CombinedLfsrPrng(3)
+        ref = _RefCombined(3)
+        prng.next_bits(5)
+        ref.next_bits(5)
+        assert prng.next_bits(0) == 0 and prng.next_bits(-4) == 0
+        assert prng.next_bits(40) == ref.next_bits(40)
+
+    @pytest.mark.parametrize("nbits", [1, 2, 6, 8, 14, 15, 32, 63])
+    def test_step_tables_match_reference(self, nbits, monkeypatch):
+        """The vector engine's GF(2) step tables, built from
+        :meth:`Lfsr.bits`, equal tables built from the bit-serial
+        register."""
+        pytest.importorskip("numpy")
+        from repro.platform import batch
+
+        built = batch._StepTables(nbits, CombinedLfsrPrng.DEGREES)
+        monkeypatch.setattr(batch, "Lfsr", _RefLfsr)
+        reference = batch._StepTables(nbits, CombinedLfsrPrng.DEGREES)
+        for name in batch._StepTables.__slots__:
+            assert (getattr(built, name) == getattr(reference, name)).all(), name
+
 
 class TestLfsr:
     def test_rejects_unsupported_degree(self):
