@@ -1,36 +1,38 @@
-"""Execution backends: scalar interpretation vs vectorized batching.
+"""Execution backends: one run protocol, three grouping thresholds.
 
-A campaign's inner loop can run two ways:
+Every traced workload describes a run as a :class:`BatchPlan` through
+its ``plan_batch(platform, run_index, run_seed, input_seed)`` hook: a
+tuple of trace segments plus a ``finalize`` callback that turns the
+measured per-segment cycles into the run's
+:class:`~repro.api.workload.RunObservation`.  Every backend measures
+these plans through :func:`execute_batch_indices`; the backend only
+chooses how large a group of trace-sharing runs must be before it goes
+to a vector engine instead of the scalar drain:
 
-* ``"scalar"`` — the historical path: every run interprets its trace
-  through :class:`~repro.platform.core.CoreStepper`, one instruction
-  at a time.
-* ``"batch"`` — runs that share an identical instruction trace are
-  grouped and executed together by the vectorized engine
-  (:mod:`repro.platform.batch`), which advances all replications of
-  one trace simultaneously with numpy array state.  Bit-identical to
-  the scalar path (same seeds, same PRNG draw sequences, same cycle
-  counts), typically an order of magnitude faster when groups are
-  large.
-* ``"auto"`` (the default) — batch where it pays: groups smaller than
-  :data:`AUTO_MIN_GROUP` runs, workloads without a batch description
-  and platforms the engine does not vectorize all fall back to the
-  scalar loop.  Because both paths are bit-identical, auto-selection
-  never changes a single observation.  An **explicit** ``"batch"``
-  request, by contrast, fails fast with the engine's
-  ``batch_unsupported_reason`` when the campaign cannot batch — a
-  parity/benchmark harness asking for the vector engine should not
+* ``"scalar"`` — no group reaches :data:`SCALAR_MIN_GROUP`, so every
+  plan runs through the scalar protocol: a full platform reset, then
+  each segment drained by the core's compiled
+  :meth:`~repro.platform.core.Core.execute` (co-scheduled plans through
+  :meth:`~repro.platform.soc.Platform.run_concurrent`).
+* ``"batch"`` — every group runs on the vectorized engine
+  (:mod:`repro.platform.batch`), which advances all replications of one
+  trace simultaneously with numpy array state.  Bit-identical to the
+  scalar drain (same seeds, same PRNG draw sequences, same cycle
+  counts).  An explicit ``"batch"`` request fails fast with the
+  engine's ``batch_unsupported_reason`` when the campaign cannot batch
+  — a parity/benchmark harness asking for the vector engine should not
   silently measure the interpreter.
+* ``"auto"`` (the default) — groups of at least :data:`AUTO_MIN_GROUP`
+  runs batch, smaller ones and platforms the engine does not vectorize
+  run scalar.  Because both paths are bit-identical, auto-selection
+  never changes a single observation.
 
-A workload opts in by implementing the optional hook
-``plan_batch(platform, run_index, run_seed, input_seed) ->
-Optional[BatchPlan]``: it describes the run as a tuple of trace
-segments plus a ``finalize`` callback that converts the measured
-per-segment cycles back into the exact
-:class:`~repro.api.workload.RunObservation` its ``execute`` would have
-produced.  Runs whose plans share ``group_key`` are guaranteed by the
-workload to carry identical segment traces — that is what makes them
-batchable.
+Runs group by :attr:`BatchPlan.group_key`, which is derived from the
+objects the engines execute (the core, the identity of every segment
+and co-runner trace, the co-runner looping mode), so runs that share a
+key share their traces by construction.  Workloads without a plan
+(``SyntheticWorkload``) implement ``execute`` instead, and run through
+it under every backend.
 
 Co-scheduled (multicore contention) runs batch too: a plan whose
 ``finalize_concurrent`` is set describes one analysis trace plus
@@ -44,10 +46,12 @@ again bit-identical to the scalar interleave.
 from __future__ import annotations
 
 import os
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -70,6 +74,7 @@ __all__ = [
     "BACKENDS",
     "BatchMeasurement",
     "BatchPlan",
+    "SCALAR_MIN_GROUP",
     "campaign_batch_unsupported_reason",
     "execute_batch_indices",
     "execute_one",
@@ -85,6 +90,10 @@ BACKENDS = ("scalar", "batch", "auto")
 #: the numpy dispatch overhead of the vector engine only amortizes once
 #: several replications advance per event.
 AUTO_MIN_GROUP = 8
+
+#: Under ``backend="scalar"``, no trace group reaches this size, so
+#: every plan runs through the scalar drain.
+SCALAR_MIN_GROUP = sys.maxsize
 
 
 def validate_backend(backend: str) -> str:
@@ -171,12 +180,10 @@ class BatchMeasurement:
 class BatchPlan:
     """One run reduced to batchable trace segments.
 
-    Two plans with equal ``group_key`` MUST carry identical segment
-    traces — and identical ``co_runners`` — (the workload's contract):
-    the runner batches such runs into one vectorized pass.
-    ``finalize`` converts the measurement back into exactly the
-    :class:`RunObservation` the workload's ``execute`` would have
-    returned for the same seeds.
+    ``finalize`` converts the run's measurement into its
+    :class:`RunObservation`.  Runs whose plans have equal
+    :attr:`group_key` execute the same traces, so the runner measures
+    them as one vectorized pass.
 
     **Co-scheduled plans** set ``finalize_concurrent`` instead: the run
     is then one analysis trace (``segments[0]`` on ``core_id``) plus
@@ -189,7 +196,6 @@ class BatchPlan:
     """
 
     segments: Tuple["Trace", ...]
-    group_key: Hashable
     finalize: Optional[Callable[[BatchMeasurement], "RunObservation"]] = None
     core_id: int = 0
     co_runners: Tuple[Tuple[int, "Trace"], ...] = ()
@@ -207,6 +213,22 @@ class BatchPlan:
             raise ValueError(
                 "a co-scheduled plan carries exactly one analysis trace"
             )
+
+    @property
+    def group_key(self) -> Hashable:
+        """What the engines share across a group: the core, the identity
+        of every segment and co-runner trace, and the looping mode.
+
+        Trace identities are only meaningful while the traces are alive;
+        :func:`execute_batch_indices` holds every plan it groups, so equal
+        keys there mean the very same trace objects.
+        """
+        return (
+            self.core_id,
+            tuple(id(segment) for segment in self.segments),
+            tuple((core_id, id(trace)) for core_id, trace in self.co_runners),
+            self.loop_co_runners,
+        )
 
     @property
     def concurrent(self) -> bool:
@@ -227,31 +249,20 @@ def execute_one(
     config: "CampaignConfig",
     run_index: int,
 ) -> RunRecord:
-    """Execute run ``run_index`` through the scalar interpreter."""
-    run_seed = config.platform_seed(run_index)
-    input_seed = config.input_seed(run_index)
-    obs = workload.execute(platform, run_seed, input_seed)
-    return RunRecord(
-        index=run_index,
-        cycles=float(obs.cycles),
-        path=obs.path,
-        platform_seed=run_seed,
-        input_seed=input_seed,
-        metadata=dict(obs.metadata),
-    )
+    """Execute run ``run_index`` through the scalar drain."""
+    return execute_batch_indices(
+        workload, platform, config, [run_index], SCALAR_MIN_GROUP
+    )[0]
 
 
 def _measure_plan_scalar(
     platform: Platform, plan: BatchPlan, run_seed: int
 ) -> BatchMeasurement:
-    """Measure one plan through the scalar interpreter.
+    """Measure one plan under the paper's run protocol.
 
-    Exactly the scalar run protocol — full platform reset, then every
-    segment drained by a fresh stepper — so ``plan.finalize`` sees the
-    same measurement a scalar ``execute`` would have taken.  Used for
-    runs whose trace group is too small to amortize the vector engine:
-    their plan is already built, so re-deriving it through
-    ``workload.execute`` would only duplicate work.
+    A full platform reset and reseed, then every segment drained on
+    ``plan.core_id`` with a fresh cycle clock, while cache, bus and
+    store-buffer state carry over between segments.
     """
     platform.reset(run_seed)
     core = platform.cores[plan.core_id]
@@ -267,12 +278,7 @@ def _measure_plan_scalar(
 def _measure_plan_concurrent_scalar(
     platform: Platform, plan: BatchPlan, run_seed: int
 ) -> ConcurrentRunResult:
-    """Measure one co-scheduled plan through the scalar interleave.
-
-    Exactly the protocol ``Scenario.execute`` follows — the plan
-    already carries the assembled core map, so only the co-scheduled
-    execution itself remains.
-    """
+    """Measure one co-scheduled plan through the scalar interleave."""
     return platform.run_concurrent(
         plan.traces_by_core(),
         run_seed,
@@ -290,36 +296,36 @@ def execute_batch_indices(
     on_record: Optional[Callable[[RunRecord], None]] = None,
     strict: bool = False,
 ) -> List[RunRecord]:
-    """Execute ``indices`` batching runs that share a trace group.
+    """Execute ``indices``, batching runs that share a trace group.
 
-    Runs are grouped by their plan's ``group_key``; each group executes
-    as one vectorized pass — on the segment engine
-    (:func:`~repro.platform.batch.run_batch_segments`) for plain plans,
-    on the co-scheduled engine
+    Runs are grouped by their plan's ``group_key``; each group of at
+    least ``min_group`` runs executes as one vectorized pass — on the
+    segment engine (:func:`~repro.platform.batch.run_batch_segments`)
+    for plain plans, on the co-scheduled engine
     (:func:`~repro.platform.batch_concurrent.run_concurrent_batch`) for
-    concurrent ones.  Groups below ``min_group`` and groups the engine
-    rejects execute their (already-built) plans through the scalar
-    interpreter instead; runs without a plan fall back to the
-    workload's own ``execute``.  With ``strict=True`` (the explicit
-    ``backend="batch"`` contract) an engine rejection raises instead of
-    silently degrading.  The produced record *set* is bit-identical to
-    the scalar path in every case; only the emission order differs
-    (grouped, then plan-less residue by index) — callers that need
+    concurrent ones.  Smaller groups and groups the engine rejects
+    measure their plans one by one through the scalar drain; a workload
+    without a ``plan_batch`` hook runs through its own ``execute``.
+    With ``strict=True`` (the explicit ``backend="batch"`` contract) an
+    engine rejection raises instead of silently degrading.  The record
+    *set* is the same for every ``min_group``; only the emission order
+    differs (grouped, then plan-less runs by index) — callers that need
     index order sort afterwards, exactly as the sharded merge already
     does.
     """
-    from ..platform import batch as batch_engine
-    from ..platform import batch_concurrent as concurrent_engine
-
     groups: "OrderedDict[Hashable, List[Tuple[int, int, BatchPlan]]]" = (
         OrderedDict()
     )
     planless_indices: List[int] = []
     records: List[RunRecord] = []
+    plan_batch = getattr(workload, "plan_batch", None)
     for run_index in indices:
         run_seed = config.platform_seed(run_index)
-        input_seed = config.input_seed(run_index)
-        plan = workload.plan_batch(platform, run_index, run_seed, input_seed)
+        plan = None
+        if plan_batch is not None:
+            plan = plan_batch(
+                platform, run_index, run_seed, config.input_seed(run_index)
+            )
         if plan is None:
             planless_indices.append(run_index)
         else:
@@ -327,113 +333,95 @@ def execute_batch_indices(
                 (run_index, run_seed, plan)
             )
 
-    def emit(record: RunRecord) -> None:
+    def emit(
+        run_index: int, run_seed: int, observation: "RunObservation"
+    ) -> None:
+        record = RunRecord(
+            index=run_index,
+            cycles=float(observation.cycles),
+            path=observation.path,
+            platform_seed=run_seed,
+            input_seed=config.input_seed(run_index),
+            metadata=dict(observation.metadata),
+        )
         records.append(record)
         if on_record is not None:
             on_record(record)
 
-    def emit_observation(
-        run_index: int, run_seed: int, observation: "RunObservation"
-    ) -> None:
-        emit(
-            RunRecord(
-                index=run_index,
-                cycles=float(observation.cycles),
-                path=observation.path,
-                platform_seed=run_seed,
-                input_seed=config.input_seed(run_index),
-                metadata=dict(observation.metadata),
+    for members in groups.values():
+        batched: Optional[Sequence[Any]] = None
+        if len(members) >= min_group:
+            batched = _run_engine(
+                platform, members[0][2], [seed for _, seed, _ in members],
+                strict,
             )
+        for position, (run_index, run_seed, plan) in enumerate(members):
+            if plan.finalize_concurrent is not None:
+                result = (
+                    batched[position] if batched is not None
+                    else _measure_plan_concurrent_scalar(
+                        platform, plan, run_seed
+                    )
+                )
+                observation = plan.finalize_concurrent(result)
+            else:
+                assert plan.finalize is not None
+                measurement = (
+                    batched[position] if batched is not None
+                    else _measure_plan_scalar(platform, plan, run_seed)
+                )
+                observation = plan.finalize(measurement)
+            emit(run_index, run_seed, observation)
+    if planless_indices:
+        execute: Callable[..., "RunObservation"] = getattr(workload, "execute")
+        for run_index in sorted(planless_indices):
+            run_seed = config.platform_seed(run_index)
+            emit(
+                run_index, run_seed,
+                execute(platform, run_seed, config.input_seed(run_index)),
+            )
+    return records
+
+
+def _run_engine(
+    platform: Platform, plan: BatchPlan, seeds: List[int], strict: bool
+) -> Optional[Sequence[Any]]:
+    """One vectorized pass over a trace group led by ``plan``.
+
+    Returns the per-run :class:`BatchMeasurement`\\ s (or
+    :class:`~repro.platform.soc.ConcurrentRunResult`\\ s for a
+    co-scheduled plan) in seed order, or None when the engine rejects
+    the group — which raises instead under ``strict``.
+    """
+    from ..platform import batch as batch_engine
+    from ..platform import batch_concurrent as concurrent_engine
+
+    try:
+        if plan.concurrent:
+            return concurrent_engine.run_concurrent_batch(
+                platform,
+                plan.traces_by_core(),
+                seeds,
+                analysis_core=plan.core_id,
+                loop_co_runners=plan.loop_co_runners,
+            )
+        outcome = batch_engine.run_batch_segments(
+            platform, plan.segments, seeds, plan.core_id
         )
-
-    def emit_measured(
-        run_index: int, run_seed: int, plan: BatchPlan,
-        measurement: BatchMeasurement,
-    ) -> None:
-        assert plan.finalize is not None
-        emit_observation(run_index, run_seed, plan.finalize(measurement))
-
-    def emit_concurrent(
-        run_index: int, run_seed: int, plan: BatchPlan,
-        result: ConcurrentRunResult,
-    ) -> None:
-        assert plan.finalize_concurrent is not None
-        emit_observation(
-            run_index, run_seed, plan.finalize_concurrent(result)
-        )
-
-    def reject(exc: batch_engine.BatchUnsupported) -> None:
+    except batch_engine.BatchUnsupported as exc:
         if strict:
             raise ValueError(
                 "backend='batch' requested but a run group cannot batch: "
                 f"{exc}"
             ) from exc
-
-    for members in groups.values():
-        lead_plan = members[0][2]
-        seeds = [member[1] for member in members]
-        if lead_plan.concurrent:
-            results: Optional[List[ConcurrentRunResult]] = None
-            if len(members) >= min_group:
-                try:
-                    results = concurrent_engine.run_concurrent_batch(
-                        platform,
-                        lead_plan.traces_by_core(),
-                        seeds,
-                        analysis_core=lead_plan.core_id,
-                        loop_co_runners=lead_plan.loop_co_runners,
-                    )
-                except batch_engine.BatchUnsupported as exc:
-                    reject(exc)
-            if results is not None:
-                for (run_index, run_seed, plan), result in zip(
-                    members, results
-                ):
-                    emit_concurrent(run_index, run_seed, plan, result)
-            else:
-                for run_index, run_seed, plan in members:
-                    emit_concurrent(
-                        run_index, run_seed, plan,
-                        _measure_plan_concurrent_scalar(
-                            platform, plan, run_seed
-                        ),
-                    )
-            continue
-        outcome = None
-        if len(members) >= min_group:
-            reason = batch_engine.batch_unsupported_reason(
-                platform, lead_plan.core_id
-            )
-            if reason is not None:
-                reject(batch_engine.BatchUnsupported(reason))
-            else:
-                try:
-                    outcome = batch_engine.run_batch_segments(
-                        platform, lead_plan.segments, seeds,
-                        lead_plan.core_id,
-                    )
-                except batch_engine.BatchUnsupported as exc:
-                    reject(exc)
-        if outcome is not None:
-            for (run_index, run_seed, plan), segment_cycles in zip(
-                members, outcome.segment_cycles
-            ):
-                emit_measured(
-                    run_index, run_seed, plan,
-                    BatchMeasurement(
-                        segment_cycles=tuple(segment_cycles),
-                        instructions=outcome.instructions,
-                    ),
-                )
-        else:
-            for run_index, run_seed, plan in members:
-                emit_measured(
-                    run_index, run_seed, plan,
-                    _measure_plan_scalar(platform, plan, run_seed),
-                )
-    for run_index in sorted(planless_indices):
-        emit(execute_one(workload, platform, config, run_index))
-    return records
+        return None
+    return [
+        BatchMeasurement(
+            segment_cycles=tuple(segment_cycles),
+            instructions=outcome.instructions,
+        )
+        for segment_cycles in outcome.segment_cycles
+    ]
 
 
 def pin_worker_threads() -> None:

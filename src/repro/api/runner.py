@@ -8,7 +8,7 @@ base seed) and executes any :class:`~repro.api.workload.Workload` either
 serially or across ``shards`` forked worker processes.
 
 Determinism argument: per-run seeds depend only on ``(base_seed,
-run_index)`` and ``Workload.execute`` fully resets the platform, so a
+run_index)`` and every run starts from a full platform reset, so a
 run's observation is independent of which process executes it and of
 every other run.  Shards receive disjoint index ranges and the parent
 merges records **by run index**, hence serial and sharded campaigns are
@@ -35,21 +35,22 @@ program images with closures that do not pickle; forked children inherit
 them for free).  Where ``fork`` is unavailable the runner silently
 degrades to serial execution — results are identical either way.
 
-**Execution backends** (``backend="scalar"|"batch"|"auto"``): runs whose
-workload describes them as trace segments (``Workload.plan_batch``) can
-execute on the vectorized batch engine — :mod:`repro.platform.batch` for
-single-core plans, :mod:`repro.platform.batch_concurrent` for
-co-scheduled contention scenarios — which advances every replication of
-one trace (or one trace set) simultaneously.  The batch path is
-bit-identical to the scalar interpreter and composes with fork-sharding
-— each shard batches its own index stride — and with adaptive
-campaigns, which batch in blocks and discard overshoot beyond the
-convergence point exactly as the sharded scalar path already does.
-``"auto"`` (the default) batches only groups large enough to amortize
-the vector dispatch overhead and falls back to scalar everywhere else
-(deterministic-unsupported configurations, missing numpy); since both
-paths agree bit for bit, backend selection never changes an
-observation.  ``backend="batch"`` is strict: a campaign or run group
+**Execution backends** (``backend="scalar"|"batch"|"auto"``): every
+backend measures through one path,
+:func:`~repro.api.backend.execute_batch_indices`, which groups the
+runs' trace plans (``Workload.plan_batch``) and measures each group on
+a vector engine — :mod:`repro.platform.batch` for single-core plans,
+:mod:`repro.platform.batch_concurrent` for co-scheduled contention
+scenarios — or run by run on the scalar drain.  The backend only sets
+the smallest group that goes to an engine: none under ``"scalar"``,
+:data:`~repro.api.backend.AUTO_MIN_GROUP` runs under ``"auto"`` (the
+default, which runs scalar wherever the engines cannot), every group
+under ``"batch"``.  Engines and drain agree bit for bit, so the
+choice never changes an observation; it composes with fork-sharding
+(each shard groups its own index stride) and with adaptive campaigns,
+which measure in index blocks (one run under ``"scalar"``) and discard
+overshoot beyond the convergence point exactly as the sharded path
+already does.  ``backend="batch"`` is strict: a campaign or run group
 the engines cannot describe raises with the engine's reason instead of
 silently degrading.
 """
@@ -89,8 +90,8 @@ from ..harness.records import RunRecord
 from ..platform.soc import Platform
 from .backend import (
     AUTO_MIN_GROUP,
+    SCALAR_MIN_GROUP,
     execute_batch_indices,
-    execute_one as _execute_one,
     pin_worker_threads,
     resolve_backend,
     validate_backend,
@@ -108,26 +109,11 @@ def default_shards(runs: int) -> int:
     return max(1, min(cores, runs))
 
 
-#: Adaptive batch campaigns execute in index blocks of at least this
-#: many runs between convergence re-checks; overshoot past the stopping
-#: point is discarded, so the block size never changes the result.
+#: Adaptive campaigns that batch execute in index blocks of at least
+#: this many runs between convergence re-checks; overshoot past the
+#: stopping point is discarded, so the block size never changes the
+#: result.  Scalar adaptive campaigns use blocks of one run.
 _MIN_ADAPTIVE_BLOCK = 16
-
-
-def _execute_range(
-    workload: Workload,
-    platform: Platform,
-    config: CampaignConfig,
-    indices: Sequence[int],
-    on_run: Optional[Callable[[], None]] = None,
-) -> List[RunRecord]:
-    """Run ``indices`` serially on ``platform``, returning their records."""
-    records: List[RunRecord] = []
-    for run_index in indices:
-        records.append(_execute_one(workload, platform, config, run_index))
-        if on_run is not None:
-            on_run()
-    return records
 
 
 def _shard_worker(
@@ -138,26 +124,19 @@ def _shard_worker(
     shard_id: int,
     indices: Sequence[int],
     report: bool,
-    backend: str,
     min_group: int,
     strict: bool,
 ) -> None:
     """Child-process body: execute one shard and ship its records back."""
     pin_worker_threads()
     try:
-        def on_run() -> None:
+        def on_record(_record: RunRecord) -> None:
             queue.put(("progress", shard_id))
 
-        if backend == "batch":
-            records = execute_batch_indices(
-                workload, platform, config, indices, min_group,
-                (lambda _record: on_run()) if report else None,
-                strict,
-            )
-        else:
-            records = _execute_range(
-                workload, platform, config, indices, on_run if report else None
-            )
+        records = execute_batch_indices(
+            workload, platform, config, indices, min_group,
+            on_record if report else None, strict,
+        )
         queue.put(("done", shard_id, records, None))
     except BaseException as exc:  # surface the failure in the parent
         queue.put(("done", shard_id, [], repr(exc)))
@@ -192,7 +171,6 @@ def _adaptive_worker(
     config: CampaignConfig,
     shard_id: int,
     indices: Sequence[int],
-    backend: str,
     min_group: int,
     block: int,
     strict: bool,
@@ -200,32 +178,25 @@ def _adaptive_worker(
     """Child-process body for adaptive campaigns: stream records back one
     by one and bail out as soon as the parent signals convergence.
 
-    The batch backend executes the shard's stride in index blocks —
-    records still stream back per run (in index order within a block),
-    and the stop event is honoured between blocks; the parent discards
-    everything at or beyond the stopping point, so the overshoot a block
-    may add never reaches the surviving record set.
+    The shard's stride executes in index blocks — records still stream
+    back per run (in index order within a block), and the stop event is
+    honoured between blocks; the parent discards everything at or
+    beyond the stopping point, so the overshoot a block may add never
+    reaches the surviving record set.
     """
     pin_worker_threads()
     try:
-        if backend == "batch":
-            stride = list(indices)
-            for start in range(0, len(stride), block):
-                if stop_event.is_set():
-                    break
-                chunk_records = execute_batch_indices(
-                    workload, platform, config,
-                    stride[start:start + block], min_group,
-                    strict=strict,
-                )
-                chunk_records.sort(key=lambda record: record.index)
-                for record in chunk_records:
-                    queue.put(("record", shard_id, record))
-        else:
-            for run_index in indices:
-                if stop_event.is_set():
-                    break
-                record = _execute_one(workload, platform, config, run_index)
+        stride = list(indices)
+        for start in range(0, len(stride), block):
+            if stop_event.is_set():
+                break
+            chunk_records = execute_batch_indices(
+                workload, platform, config,
+                stride[start:start + block], min_group,
+                strict=strict,
+            )
+            chunk_records.sort(key=lambda record: record.index)
+            for record in chunk_records:
                 queue.put(("record", shard_id, record))
         queue.put(("done", shard_id, None))
     except BaseException as exc:  # surface the failure in the parent
@@ -316,37 +287,41 @@ class CampaignRunner:
         ``config.runs`` as the cap; the result then carries
         ``runs_requested`` and a full convergence summary.
 
-        ``progress(done, total)`` is invoked after every completed run —
-        in completion order when sharded, run order when serial.
+        ``progress(done, total)`` is invoked after every completed run,
+        in completion order (trace groups measure together).
         """
         cfg = self.config
         workload.prepare(platform)
         backend = resolve_backend(self.backend, workload, platform)
-        min_group = 1 if self.backend == "batch" else AUTO_MIN_GROUP
+        if backend == "scalar":
+            min_group = SCALAR_MIN_GROUP
+        else:
+            min_group = 1 if self.backend == "batch" else AUTO_MIN_GROUP
         strict = self.backend == "batch"
         shards = min(self.shards, cfg.runs)
         use_fork = shards > 1 and "fork" in mp.get_all_start_methods()
         summary: Optional[CampaignConvergenceSummary] = None
         if convergence is not None:
             tracker = CampaignConvergence(convergence)
-            block = max(_MIN_ADAPTIVE_BLOCK, convergence.step)
+            block = 1 if backend == "scalar" else max(
+                _MIN_ADAPTIVE_BLOCK, convergence.step
+            )
             if use_fork:
                 records = self._run_adaptive_sharded(
                     workload, platform, shards, tracker, progress,
-                    backend, min_group, block, strict,
+                    min_group, block, strict,
                 )
             else:
                 records = self._run_adaptive_serial(
                     workload, platform, tracker, progress,
-                    backend, min_group, block, strict,
+                    min_group, block, strict,
                 )
             summary = tracker.summary(requested=cfg.runs)
         elif use_fork:
             records = self._run_sharded(
-                workload, platform, shards, progress, backend, min_group,
-                strict,
+                workload, platform, shards, progress, min_group, strict,
             )
-        elif backend == "batch":
+        else:
             done = [0]
 
             def on_record(_record: RunRecord) -> None:
@@ -358,18 +333,6 @@ class CampaignRunner:
                 workload, platform, cfg, range(cfg.runs), min_group,
                 on_record if progress is not None else None,
                 strict,
-            )
-        else:
-            done = [0]
-
-            def on_run() -> None:
-                done[0] += 1
-                if progress is not None:
-                    progress(done[0], cfg.runs)
-
-            records = _execute_range(
-                workload, platform, cfg, range(cfg.runs),
-                on_run if progress is not None else None,
             )
         records.sort(key=lambda record: record.index)
         label = f"{workload.name}@{platform.name}"
@@ -392,44 +355,33 @@ class CampaignRunner:
         platform: Platform,
         tracker: CampaignConvergence,
         progress: Optional[Progress],
-        backend: str,
         min_group: int,
         block: int,
         strict: bool,
     ) -> List[RunRecord]:
         """Execute runs in index order, stopping at convergence.
 
-        The batch backend measures index blocks at a time and replays
-        them through the tracker in index order, returning exactly the
-        prefix a scalar adaptive campaign would keep (runs measured
-        past the stopping point are discarded unobserved).
+        Measures index blocks at a time and replays them through the
+        tracker in index order, returning exactly the prefix a one-run
+        block would keep (runs measured past the stopping point are
+        discarded unobserved).
         """
         cfg = self.config
         records: List[RunRecord] = []
-        if backend == "batch":
-            for start in range(0, cfg.runs, block):
-                chunk_records = execute_batch_indices(
-                    workload, platform, cfg,
-                    range(start, min(start + block, cfg.runs)), min_group,
-                    strict=strict,
-                )
-                chunk_records.sort(key=lambda record: record.index)
-                for record in chunk_records:
-                    records.append(record)
-                    converged = tracker.observe(record.path, record.cycles)
-                    if progress is not None:
-                        progress(len(records), cfg.runs)
-                    if converged:
-                        return records
-            return records
-        for run_index in range(cfg.runs):
-            record = _execute_one(workload, platform, cfg, run_index)
-            records.append(record)
-            converged = tracker.observe(record.path, record.cycles)
-            if progress is not None:
-                progress(len(records), cfg.runs)
-            if converged:
-                break
+        for start in range(0, cfg.runs, block):
+            chunk_records = execute_batch_indices(
+                workload, platform, cfg,
+                range(start, min(start + block, cfg.runs)), min_group,
+                strict=strict,
+            )
+            chunk_records.sort(key=lambda record: record.index)
+            for record in chunk_records:
+                records.append(record)
+                converged = tracker.observe(record.path, record.cycles)
+                if progress is not None:
+                    progress(len(records), cfg.runs)
+                if converged:
+                    return records
         return records
 
     # ------------------------------------------------------------------
@@ -440,7 +392,6 @@ class CampaignRunner:
         shards: int,
         tracker: CampaignConvergence,
         progress: Optional[Progress],
-        backend: str,
         min_group: int,
         block: int,
         strict: bool,
@@ -464,7 +415,7 @@ class CampaignRunner:
                 args=(
                     result_queue, stop_event, workload, platform, cfg,
                     shard_id, range(shard_id, cfg.runs, shards),
-                    backend, min_group, block, strict,
+                    min_group, block, strict,
                 ),
             )
             for shard_id in range(shards)
@@ -527,7 +478,6 @@ class CampaignRunner:
         platform: Platform,
         shards: int,
         progress: Optional[Progress],
-        backend: str,
         min_group: int,
         strict: bool,
     ) -> List[RunRecord]:
@@ -540,7 +490,7 @@ class CampaignRunner:
                 target=_shard_worker,
                 args=(
                     result_queue, workload, platform, cfg, shard_id, chunk,
-                    progress is not None, backend, min_group, strict,
+                    progress is not None, min_group, strict,
                 ),
             )
             for shard_id, chunk in enumerate(chunks)

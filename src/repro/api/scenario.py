@@ -10,10 +10,13 @@ on scenarios unchanged.  One measured execution:
    analysis (a pure function of the seeds, memoized by the workload),
 2. one opponent trace per remaining core is generated from a seed
    derived from the run's input seed (again pure, hence shard-safe),
-3. :meth:`~repro.platform.soc.Platform.run_concurrent` interleaves all
-   cores in cycle order; the observation is the analysis core's
-   end-to-end cycles, with the per-core/contention breakdown recorded in
-   the observation metadata (and therefore in campaign artifacts).
+3. both go into the run's co-scheduled
+   :class:`~repro.api.backend.BatchPlan`, which the backend measures
+   through :meth:`~repro.platform.soc.Platform.run_concurrent` (or its
+   vectorized twin) interleaving all cores in cycle order; the
+   observation is the analysis core's end-to-end cycles, with the
+   per-core/contention breakdown recorded in the observation metadata
+   (and therefore in campaign artifacts).
 
 The *isolation* scenario (no co-runner) runs through the same
 co-scheduled path with an empty opponent set, which degenerates to a
@@ -161,16 +164,6 @@ class Scenario:
             self._opponent_cache.put(key, cached)
         return cached
 
-    def _traces(
-        self, platform: Platform, prepared: PreparedTrace, input_seed: int
-    ) -> Dict[int, Trace]:
-        traces = {self.analysis_core: prepared.trace}
-        for core_id, trace in self._opponents(
-            input_seed, platform.config.num_cores, len(prepared.trace)
-        ):
-            traces[core_id] = trace
-        return traces
-
     def _observation(
         self, prepared: PreparedTrace, result: ConcurrentRunResult
     ) -> RunObservation:
@@ -186,19 +179,6 @@ class Scenario:
             path=prepared.path,
             metadata=metadata,
         )
-
-    def execute(
-        self, platform: Platform, run_seed: int, input_seed: int
-    ) -> RunObservation:
-        prepared: PreparedTrace = self.workload.build_trace(
-            platform, run_seed, input_seed
-        )
-        result = platform.run_concurrent(
-            self._traces(platform, prepared, input_seed),
-            run_seed,
-            analysis_core=self.analysis_core,
-        )
-        return self._observation(prepared, result)
 
     # ------------------------------------------------------------------
     def batch_unsupported_reason(self, platform: Platform) -> Optional[str]:
@@ -224,11 +204,11 @@ class Scenario:
         """The run as a co-scheduled :class:`BatchPlan`.
 
         The plan carries the analysis trace plus the opponent traces and
-        finalizes through :meth:`_observation`, so batch and scalar
-        campaigns emit bit-identical records (including the per-core /
-        bus / memory breakdown in the metadata).  Plans group by
-        ``input_seed`` — opponent traces derive from it — so
-        fixed-input campaigns (``vary_inputs=False``) form one group.
+        finalizes through :meth:`_observation`, which records the
+        per-core / bus / memory breakdown in the metadata.  Both traces
+        are memoized by ``input_seed`` — opponent traces derive from it
+        — so fixed-input campaigns (``vary_inputs=False``) form one
+        group.
         """
         build = getattr(self.workload, "build_trace", None)
         if build is None:
@@ -240,13 +220,6 @@ class Scenario:
 
         return BatchPlan(
             segments=(prepared.trace,),
-            group_key=(
-                "scenario",
-                self.name,
-                self.analysis_core,
-                platform.config.num_cores,
-                input_seed,
-            ),
             core_id=self.analysis_core,
             co_runners=self._opponents(
                 input_seed, platform.config.num_cores, len(prepared.trace)

@@ -5,13 +5,20 @@ programs, synthetic generators — implements one small protocol:
 
 * :meth:`Workload.prepare` — one-time setup against a platform (build
   programs, link images); called once per campaign, before any run,
-* :meth:`Workload.execute` — one measured execution under the paper's
-  protocol, fully determined by ``(run_seed, input_seed)``; returns a
-  :class:`RunObservation`.
+* one way to describe a measured execution, fully determined by
+  ``(run_seed, input_seed)``:
 
-Because ``execute`` depends only on the two seeds (the platform is fully
-reset inside the run), campaigns can be sharded across processes and
-merged by run index without changing a single observation — the property
+  - ``plan_batch(platform, run_index, run_seed, input_seed) ->
+    BatchPlan`` for traced workloads: the run as trace segments plus a
+    ``finalize`` callback (see :mod:`repro.api.backend`), which every
+    backend measures under the paper's protocol;
+  - ``execute(platform, run_seed, input_seed) -> RunObservation`` for
+    plan-less workloads (no platform trace, e.g. synthetic
+    generators).
+
+Because a run depends only on the two seeds (the platform is fully
+reset before it), campaigns can be sharded across processes and merged
+by run index without changing a single observation — the property
 :class:`repro.api.runner.CampaignRunner` builds on.
 
 Three adapters cover the existing workload families.
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol, runtime_checkable
@@ -135,38 +142,36 @@ class _TraceCache:
 class Workload(Protocol):
     """Anything the measurement harness can run.
 
-    Implementations must make ``execute`` a pure function of
-    ``(platform configuration, run_seed, input_seed)`` — no state may
-    leak between runs — so that sharded and serial campaigns agree.
-    That purity is also what adaptive campaigns rely on: the stopping
-    rule consumes observations in run-index order, so an early-stopped
-    campaign's records are exactly a prefix of the fixed-budget ones.
+    Besides ``name`` and :meth:`prepare`, a workload implements one of
+    two hooks:
+
+    * ``plan_batch(platform, run_index, run_seed, input_seed) ->
+      Optional[BatchPlan]`` — traced workloads describe each run as
+      trace segments plus a ``finalize`` callback; every backend
+      measures the plans (batching runs whose plans share a
+      ``group_key``), so this is the only description of the run.
+    * ``execute(platform, run_seed, input_seed) -> RunObservation`` —
+      plan-less workloads (no platform trace) measure one run
+      themselves.
+
+    Either hook must be a pure function of ``(platform configuration,
+    run_seed, input_seed)`` — no state may leak between runs — so that
+    sharded and serial campaigns agree.  That purity is also what
+    adaptive campaigns rely on: the stopping rule consumes observations
+    in run-index order, so an early-stopped campaign's records are
+    exactly a prefix of the fixed-budget ones.
 
     Optional hook: ``build_trace(platform, run_seed, input_seed) ->
     PreparedTrace``.  Workloads whose run is one instruction trace
     expose it so contention scenarios can co-schedule the trace against
     opponents on the other cores; implementations must keep it a pure
-    function of the seeds, like ``execute``.
-
-    Optional hook: ``plan_batch(platform, run_index, run_seed,
-    input_seed) -> Optional[BatchPlan]``.  Workloads whose run reduces
-    to a sequence of trace segments expose it so the runner can execute
-    trace-sharing runs together on the vectorized batch backend; the
-    plan's ``finalize`` must reproduce exactly the observation
-    ``execute`` would return, and plans sharing a ``group_key`` must
-    carry identical segments.
+    function of the seeds, like ``plan_batch``.
     """
 
     name: str
 
     def prepare(self, platform: Platform) -> None:
         """One-time setup before the campaign's first run."""
-        ...
-
-    def execute(
-        self, platform: Platform, run_seed: int, input_seed: int
-    ) -> RunObservation:
-        """One measured execution under the paper's run protocol."""
         ...
 
 
@@ -203,23 +208,6 @@ class TvcaWorkload:
             self._plan_cache.put(input_seed, plan)
         return plan
 
-    def execute(
-        self, platform: Platform, run_seed: int, input_seed: int
-    ) -> RunObservation:
-        if self._app is None:
-            self.prepare(platform)
-        result = self._app.run_once(platform, run_seed=run_seed, input_seed=input_seed)
-        return RunObservation(
-            cycles=float(result.cycles),
-            path=result.path_class,
-            metadata={
-                "input_profile": result.input_profile,
-                "instructions": result.instructions,
-                "deadlines_met": result.deadlines_met,
-                "max_response_cycles": result.max_response_cycles,
-            },
-        )
-
     def build_trace(
         self, platform: Platform, run_seed: int, input_seed: int
     ) -> PreparedTrace:
@@ -251,14 +239,15 @@ class TvcaWorkload:
     def plan_batch(
         self, platform: Platform, run_index: int, run_seed: int, input_seed: int
     ) -> Optional[BatchPlan]:
-        """The run as batchable per-job segments (vectorized backend).
+        """The run as per-job trace segments: the paper's run protocol.
 
-        Segment semantics mirror :meth:`TvcaApplication.run_once` bit
-        for bit: each job's cycle clock restarts while cache/bus/store-
-        buffer state carries over, and the schedule outcome (response
-        times, deadlines) is recomputed from the measured per-job
-        cycles.  Plans are keyed by the input seed, so all runs of a
-        fixed-input campaign share one trace group.
+        Each job's cycle clock restarts while cache/bus/store-buffer
+        state carries over from the previous job, so jobs after the
+        first absorb some residual stall from their predecessor's tail.
+        ``finalize`` recomputes the schedule outcome (response times,
+        deadlines) from the measured per-job cycles.  Plans are memoized
+        by input seed, so all runs of a fixed-input campaign share one
+        trace group.
         """
         if self._app is None:
             self.prepare(platform)
@@ -288,11 +277,7 @@ class TvcaWorkload:
                 },
             )
 
-        return BatchPlan(
-            segments=plan.traces,
-            group_key=(self.name, input_seed),
-            finalize=finalize,
-        )
+        return BatchPlan(segments=plan.traces, finalize=finalize)
 
 
 class ProgramWorkload:
@@ -324,11 +309,14 @@ class ProgramWorkload:
         self._trace_cache = _TraceCache()
 
     def prepare(self, platform: Platform) -> None:
+        num_cores = platform.config.num_cores
+        if not 0 <= self.core_id < num_cores:
+            raise ValueError(
+                f"core_id {self.core_id} out of range for a "
+                f"{num_cores}-core platform"
+            )
         if self.image is None:
             self.image = link(self.program)
-
-    def _cache_key(self, input_seed: int) -> Any:
-        return input_seed if self.env_fn is not None else "<static>"
 
     def _prepared(self, input_seed: int) -> PreparedTrace:
         """The run's trace, memoized by its generating key (the input
@@ -336,7 +324,7 @@ class ProgramWorkload:
         seed-independent)."""
         if self.image is None:
             self.image = link(self.program)
-        cache_key = self._cache_key(input_seed)
+        cache_key = input_seed if self.env_fn is not None else "<static>"
         prepared = self._trace_cache.get(cache_key)
         if prepared is None:
             env = self.env_fn(input_seed) if self.env_fn is not None else {}
@@ -359,10 +347,9 @@ class ProgramWorkload:
         Programs without an ``env_fn`` have a seed-independent trace, so
         every run of the campaign lands in one batch group; seed-keyed
         environments group by input seed (``vary_inputs=False`` then
-        still yields a single group).  ``finalize`` reproduces
-        :meth:`execute` exactly — cycles are the run's end-to-end count,
-        metadata carries the instruction count — so the batch and scalar
-        paths emit equal records.
+        still yields a single group).  The observation's cycles are the
+        run's end-to-end count; its metadata carries the instruction
+        count.
         """
         prepared = self._prepared(input_seed)
 
@@ -374,21 +361,7 @@ class ProgramWorkload:
             )
 
         return BatchPlan(
-            segments=(prepared.trace,),
-            group_key=(self.name, self.core_id, self._cache_key(input_seed)),
-            finalize=finalize,
-            core_id=self.core_id,
-        )
-
-    def execute(
-        self, platform: Platform, run_seed: int, input_seed: int
-    ) -> RunObservation:
-        prepared = self._prepared(input_seed)
-        result = platform.run(prepared.trace, seed=run_seed, core_id=self.core_id)
-        return RunObservation(
-            cycles=float(result.cycles),
-            path=prepared.path,
-            metadata={"instructions": result.instructions},
+            segments=(prepared.trace,), finalize=finalize, core_id=self.core_id
         )
 
 

@@ -1209,8 +1209,9 @@ def run_batch_segments(
     """Execute ``segments`` back to back for every seed, vectorized.
 
     Segment semantics match the scalar multi-job protocol
-    (:meth:`TvcaApplication.run_once`): each segment starts a fresh
-    stepper — the cycle clock and fetch/translation locality restart —
+    (``_measure_plan_scalar`` in :mod:`repro.api.backend`): each segment
+    starts a fresh stepper — the cycle clock and fetch/translation
+    locality restart —
     while caches, TLBs, the store buffer and the bus horizon carry
     over; the platform is fully reset once per run before the first
     segment.  A single-segment call is exactly ``platform.run``.

@@ -127,8 +127,9 @@ class Cache:
     way).  Lookups scan the (small) way list; for the 4-way L1s this is
     both faithful and fast.  :meth:`read` and :meth:`write` each make the
     whole probe in one call — memoized set index, ``in`` scan, and the
-    hit touch, which is skipped when the replacement policy's
-    ``needs_touch`` is False (random and round-robin keep no hit state).
+    hit touch, which is skipped (as is the fill on allocation) when the
+    replacement policy's ``needs_touch`` is False (random and
+    round-robin keep no hit or fill state).
     """
 
     def __init__(
@@ -198,7 +199,8 @@ class Cache:
             way = self.replacement.victim(set_index)
             self.stats.evictions += 1
         ways[way] = line
-        self.replacement.fill(set_index, way)
+        if self._needs_touch:
+            self.replacement.fill(set_index, way)
 
     def read(self, byte_address: int) -> bool:
         """Look up a read; allocate on miss.  Returns True on hit."""

@@ -17,11 +17,12 @@ for ablations:
 * :class:`RandomReplacement` — the MBPTA-compliant policy.
 
 Each policy instance owns its per-set metadata; caches create one policy
-object per cache.  ``touch`` is called on every hit of a policy whose
-``needs_touch`` is True, ``fill`` on every allocation, ``victim`` on
-every allocation into a full set, and ``reset`` between runs.  Policies
-whose ``touch`` is a no-op (random, round-robin) set ``needs_touch`` to
-False, and caches and TLBs skip the call on hits.
+object per cache.  ``touch`` is called on every hit and ``fill`` on
+every allocation of a policy whose ``needs_touch`` is True, ``victim``
+on every allocation into a full set, and ``reset`` between runs.
+Policies whose ``touch`` is a no-op (random, round-robin) set
+``needs_touch`` to False: they keep no hit state and no fill state, so
+caches and TLBs skip both calls.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class ReplacementPolicy(ABC):
     #: True when victim choice consumes platform randomness.
     randomized: bool = False
 
-    #: False when :meth:`touch` is a no-op (the policy keeps no hit
-    #: state), so callers may skip it on hits.
+    #: False when :meth:`touch` and :meth:`fill` are no-ops (the policy
+    #: keeps no hit or fill state), so callers may skip both.
     needs_touch: bool = True
 
     def __init__(self, num_sets: int, num_ways: int) -> None:

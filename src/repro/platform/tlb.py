@@ -157,7 +157,8 @@ class Tlb:
             del index[cast(int, entries[way])]
         entries[way] = page
         index[page] = way
-        self.replacement.fill(0, way)
+        if self._needs_touch:
+            self.replacement.fill(0, way)
 
     def contains(self, byte_address: int) -> bool:
         """Non-mutating residency probe."""

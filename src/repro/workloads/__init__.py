@@ -3,13 +3,12 @@ and contention opponents (co-runners)."""
 
 from . import kernels, opponents, synthetic
 from .opponents import CoRunner, co_runner, co_runner_names
-from .tvca import TvcaApplication, TvcaConfig, TvcaRunResult
+from .tvca import TvcaApplication, TvcaConfig
 
 __all__ = [
     "CoRunner",
     "TvcaApplication",
     "TvcaConfig",
-    "TvcaRunResult",
     "co_runner",
     "co_runner_names",
     "kernels",

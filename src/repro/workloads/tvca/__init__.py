@@ -7,7 +7,7 @@ control x, actuator control y) whose generated-code shape is expressed
 in the program DSL and driven by real control-law arithmetic.
 """
 
-from .app import TvcaApplication, TvcaConfig, TvcaRunResult
+from .app import TvcaApplication, TvcaConfig
 from .controller import (
     AxisController,
     ControlDecisions,
@@ -49,7 +49,6 @@ __all__ = [
     "TvcPlant",
     "TvcaApplication",
     "TvcaConfig",
-    "TvcaRunResult",
     "build_actuator_task",
     "build_jobs",
     "build_math_helper",

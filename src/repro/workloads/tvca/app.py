@@ -8,14 +8,17 @@ twice the actuator rate) and each actuator task once; jobs execute back
 to back on the core (the task set is schedulable with large slack, so no
 preemption occurs — asserted via the timeline simulator).
 
-For every job the driver
+For every job, :meth:`TvcaApplication.build_plan`
 
 1. advances the *Python-level* controller against the plant to obtain
    the real numbers of this control step,
 2. fills the DSL input environment (branch outcomes, loop trip counts,
    table indices, FDIV/FSQRT operand classes) from those numbers,
-3. expands the task program into an instruction trace and executes it on
-   the platform core, accumulating cycles.
+3. expands the task program into an instruction trace.
+
+The resulting :class:`TvcaRunPlan` is measured job by job on the
+platform core by ``TvcaWorkload.plan_batch`` (:mod:`repro.api.workload`),
+which accumulates the cycles.
 
 The run's **path identifier** groups executions for per-path MBPTA.  Two
 granularities are produced: the exact concatenated DSL signature (which
@@ -28,10 +31,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
-from ...platform.soc import Platform
-from ...platform.prng import derive_seed
 from ...platform.trace import Trace
 from ...programs.compiler import PathSignature, generate_trace
 from ...programs.layout import LayoutConfig, LinkedImage, link
@@ -42,7 +43,7 @@ from .controller import (
     SensorProcessor,
 )
 from .plant import PlantConfig, TvcPlant
-from .scheduler import Job, TaskSpec, build_jobs, simulate_timeline
+from .scheduler import Job, TaskSpec, build_jobs
 from .tasks import (
     DEFAULT_AERO_ELEMENTS,
     DEFAULT_AERO_WINDOW,
@@ -52,7 +53,7 @@ from .tasks import (
     build_sensor_task,
 )
 
-__all__ = ["TvcaConfig", "TvcaRunResult", "TvcaRunPlan", "TvcaApplication"]
+__all__ = ["TvcaConfig", "TvcaRunPlan", "TvcaApplication"]
 
 #: Job traces an application keeps (the workloads' trace-cache cap).
 _JOB_TRACE_CACHE_SIZE = 128
@@ -109,39 +110,17 @@ class TvcaConfig:
 
 
 @dataclass(frozen=True)
-class TvcaRunResult:
-    """Outcome of one measured TVCA execution.
-
-    ``path_class`` is the *structural* path identifier used for
-    per-path MBPTA grouping: it distinguishes executions whose code
-    shape differs materially (the sensor fault-handling path).  The
-    finer input-driven variation (saturation flags, gain-schedule
-    depths) changes only a handful of instructions; it is recorded in
-    ``input_profile`` and, exactly, in ``full_signature``.
-    """
-
-    cycles: int
-    path_class: str
-    input_profile: str
-    full_signature: str
-    per_task_cycles: Dict[str, int]
-    per_task_max_job_cycles: Dict[str, int]
-    max_response_cycles: int
-    deadlines_met: bool
-    instructions: int
-
-
-@dataclass(frozen=True)
 class TvcaRunPlan:
     """The platform-independent half of one measured TVCA execution.
 
     The closed-loop control mathematics (plant, sensor processing, PID
     updates) is pure Python and depends only on the input seed — never
     on platform timing — so the complete sequence of per-job instruction
-    traces can be built ahead of execution.  :meth:`TvcaApplication.
-    run_once` executes the plan job by job under the paper's protocol;
-    contention scenarios concatenate it into a single trace and
-    co-schedule it against opponents.
+    traces can be built ahead of execution.  ``TvcaWorkload.plan_batch``
+    (:mod:`repro.api.workload`) measures the plan job by job under the
+    paper's protocol; contention scenarios concatenate it into a single
+    trace, run on a continuous clock, and co-schedule it against
+    opponents — so the two are not cycle-comparable.
     """
 
     jobs: Tuple["Job", ...]
@@ -337,72 +316,4 @@ class TvcaApplication:
             signatures=tuple(signatures),
             path_class=path_class,
             input_profile=input_profile,
-        )
-
-    # ------------------------------------------------------------------
-    # One measured execution
-    # ------------------------------------------------------------------
-    def run_once(
-        self, platform: Platform, run_seed: int, input_seed: Optional[int] = None
-    ) -> TvcaRunResult:
-        """Execute one full measurement run under the paper's protocol.
-
-        ``run_seed`` drives the *platform* randomization (cache seeds),
-        ``input_seed`` the *workload* inputs (initial attitude errors,
-        gusts, sensor noise); they default to independent derivations of
-        the same value so a single integer reproduces the run.  The run
-        plan (job traces, path) is built first — it is a pure function
-        of ``input_seed`` — and then executed job by job on core 0.
-
-        Historical timing semantics, preserved bit for bit: each job's
-        cycle clock restarts at zero while shared-resource state (the
-        bus busy horizon, the store buffer's drain times) carries over
-        from the previous job, so jobs after the first absorb some
-        residual stall from their predecessor's tail.  Contention
-        scenarios instead execute :meth:`TvcaRunPlan.concatenated_trace`
-        on a continuous clock; the two paths are therefore not
-        cycle-comparable — compare scenarios against the *isolation*
-        scenario, not against this method.
-        """
-        if input_seed is None:
-            input_seed = derive_seed(run_seed, 0xA11CE)
-        plan = self.build_plan(input_seed)
-        platform.reset(run_seed)
-        core = platform.cores[0]
-
-        total_cycles = 0
-        total_instructions = 0
-        per_task_cycles: Dict[str, int] = {t.name: 0 for t in self.tasks}
-        per_task_max: Dict[str, int] = {t.name: 0 for t in self.tasks}
-        executions: Dict[object, int] = {}
-
-        for job, trace in zip(plan.jobs, plan.traces):
-            name = job.task.name
-            result = core.execute(trace)
-            total_cycles += result.cycles
-            total_instructions += result.instructions
-            per_task_cycles[name] += result.cycles
-            per_task_max[name] = max(per_task_max[name], result.cycles)
-            executions[job] = result.cycles
-
-        outcomes = simulate_timeline(plan.jobs, executions)
-        deadlines_met = all(o.deadline_met for o in outcomes)
-        max_response = max(o.response for o in outcomes)
-        # The task set has huge slack at these rates; preemption-free
-        # execution is the modelled (and asserted) regime.
-        assert all(o.preemptions == 0 for o in outcomes), (
-            "unexpected preemption: job execution times exceed the "
-            "sensor inter-release gap"
-        )
-
-        return TvcaRunResult(
-            cycles=total_cycles,
-            path_class=plan.path_class,
-            input_profile=plan.input_profile,
-            full_signature=plan.full_signature,
-            per_task_cycles=per_task_cycles,
-            per_task_max_job_cycles=per_task_max,
-            max_response_cycles=max_response,
-            deadlines_met=deadlines_met,
-            instructions=total_instructions,
         )

@@ -17,14 +17,17 @@ from repro.api import (
     CampaignArtifact,
     CampaignConfig,
     CampaignRunner,
+    ProgramWorkload,
     SyntheticWorkload,
     TvcaWorkload,
     create_platform,
     create_scenario,
     create_workload,
 )
+from repro.api.backend import execute_batch_indices, execute_one
 from repro.core import ConvergencePolicy
 from repro.platform.batch import numpy_available
+from repro.workloads.kernels import matmul_kernel
 from repro.workloads.synthetic import gumbel_samples
 from repro.workloads.tvca import TvcaConfig
 
@@ -207,3 +210,88 @@ def test_numpy_free_auto_campaign_still_runs(monkeypatch):
     result = _tvca_campaign("auto", runs=6)
     assert result.backend == "scalar"
     assert result.num_runs == 6
+
+
+@pytest.mark.parametrize("backend", ["scalar", "auto", "batch"])
+@pytest.mark.parametrize("core_id", [-1, 4])
+def test_out_of_range_core_id_rejected_on_every_backend(backend, core_id):
+    """A program pinned to a core the platform lacks fails in prepare,
+    whichever backend would measure it (a negative id must not wrap
+    around to the last core)."""
+    platform = create_platform("rand", num_cores=4, cache_kb=1)
+    workload = ProgramWorkload(matmul_kernel(dim=3), core_id=core_id)
+    runner = CampaignRunner(CampaignConfig(runs=2), backend=backend)
+    with pytest.raises(ValueError, match=f"core_id {core_id} out of range"):
+        runner.run(workload, platform)
+
+
+def test_planless_workload_measures_through_execute():
+    """Without a plan_batch hook, every entry point runs the workload's
+    own execute."""
+    workload = SyntheticWorkload(gumbel_samples, name="synthetic-gumbel")
+    platform = create_platform("rand", num_cores=1, cache_kb=1)
+    config = CampaignConfig(runs=6, base_seed=5)
+    expected = [
+        gumbel_samples(1, config.input_seed(index))[0] for index in range(6)
+    ]
+    records = execute_batch_indices(workload, platform, config, range(6))
+    assert [record.cycles for record in records] == expected
+    assert execute_one(workload, platform, config, 2) == records[2]
+
+
+def test_scalar_adaptive_campaign_measures_no_discarded_run():
+    """A scalar adaptive campaign measures in blocks of one run, so it
+    plans exactly the runs it keeps."""
+    planned = []
+
+    class CountingTvca(TvcaWorkload):
+        def plan_batch(self, platform, run_index, run_seed, input_seed):
+            planned.append(run_index)
+            return super().plan_batch(platform, run_index, run_seed, input_seed)
+
+    runner = CampaignRunner(
+        CampaignConfig(runs=600, base_seed=20170327), backend="scalar"
+    )
+    policy = ConvergencePolicy(
+        probability=1e-9, tolerance=0.02, step=25, block_size=5,
+        stable_steps=2,
+    )
+    result = runner.run(
+        CountingTvca(
+            TvcaConfig(estimator_dim=8, aero_elements=64, aero_window=8,
+                       hyperperiods=1)
+        ),
+        create_platform("rand", num_cores=1),
+        convergence=policy,
+    )
+    assert result.stopped_early
+    assert planned == list(range(result.runs_used))
+
+
+def test_group_key_follows_trace_identity():
+    """Plans share a group exactly when they execute the same objects."""
+    from dataclasses import replace
+
+    from repro.api.backend import BatchPlan
+    from repro.platform.trace import Trace
+
+    def finalize(measurement):
+        return None
+
+    first, second = Trace(), Trace()
+    plan = BatchPlan(segments=(first,), finalize=finalize)
+    assert BatchPlan(segments=(first,), finalize=finalize).group_key == (
+        plan.group_key
+    )
+    assert replace(plan, finalize=lambda m: None).group_key == plan.group_key
+    for other in (
+        BatchPlan(segments=(second,), finalize=finalize),
+        BatchPlan(segments=(first,), finalize=finalize, core_id=1),
+        BatchPlan(segments=(first, first), finalize=finalize),
+        BatchPlan(segments=(first,), co_runners=((1, second),),
+                  finalize_concurrent=finalize),
+        BatchPlan(segments=(first,), co_runners=((1, second),),
+                  loop_co_runners=False, finalize_concurrent=finalize),
+    ):
+        assert hash(other.group_key) is not None
+        assert other.group_key != plan.group_key

@@ -5,13 +5,13 @@ from repro.api import (
     CampaignRequest,
     CampaignRunner,
     ProgramWorkload,
-    RunObservation,
     SyntheticWorkload,
     TvcaWorkload,
     Workload,
     create_workload,
     seeded_env_fn,
 )
+from repro.api.backend import execute_one
 from repro.platform.soc import leon3_det, leon3_rand
 from repro.workloads.kernels import matmul_kernel
 from repro.workloads.synthetic import cache_like_samples
@@ -20,6 +20,7 @@ from repro.workloads.tvca.app import TvcaConfig
 SMALL_TVCA = TvcaConfig(
     estimator_dim=8, aero_elements=64, aero_window=8, hyperperiods=1
 )
+CONFIG = CampaignConfig(runs=8, base_seed=9)
 
 
 class TestTvcaWorkload:
@@ -30,8 +31,8 @@ class TestTvcaWorkload:
         platform = leon3_rand(num_cores=1)
         workload = TvcaWorkload(SMALL_TVCA)
         workload.prepare(platform)
-        first = workload.execute(platform, run_seed=5, input_seed=9)
-        second = workload.execute(platform, run_seed=5, input_seed=9)
+        first = execute_one(workload, platform, CONFIG, 5)
+        second = execute_one(workload, platform, CONFIG, 5)
         assert first.cycles == second.cycles
         assert first.path == second.path
 
@@ -39,11 +40,10 @@ class TestTvcaWorkload:
         platform = leon3_rand(num_cores=1)
         workload = TvcaWorkload(SMALL_TVCA)
         workload.prepare(platform)
-        obs = workload.execute(platform, run_seed=1, input_seed=2)
-        assert isinstance(obs, RunObservation)
-        assert obs.path.startswith("fault=")
-        assert obs.metadata["deadlines_met"] is True
-        assert obs.metadata["instructions"] > 0
+        record = execute_one(workload, platform, CONFIG, 1)
+        assert record.path.startswith("fault=")
+        assert record.metadata["deadlines_met"] is True
+        assert record.metadata["instructions"] > 0
 
 
 class TestProgramWorkload:
@@ -63,8 +63,8 @@ class TestProgramWorkload:
         workload = ProgramWorkload(matmul_kernel(dim=3), env_fn=env_fn)
         platform = leon3_det(num_cores=1)
         workload.prepare(platform)
-        workload.execute(platform, run_seed=1, input_seed=42)
-        assert seeds == [42]
+        execute_one(workload, platform, CONFIG, 0)
+        assert seeds == [CONFIG.input_seed(0)]
 
     def test_seeded_env_fn_deterministic(self):
         env_fn = seeded_env_fn(lambda rng: {"x": rng.random()})
@@ -92,9 +92,9 @@ class TestTraceMemoization:
         platform = leon3_det(num_cores=1)
         for workload in (uncached, cached):
             workload.prepare(platform)
-        baseline = uncached.execute(platform, run_seed=3, input_seed=4)
-        cached.execute(platform, run_seed=99, input_seed=4)  # warm
-        warm = cached.execute(platform, run_seed=3, input_seed=4)
+        baseline = execute_one(uncached, platform, CONFIG, 3)
+        execute_one(cached, platform, CONFIG, 4)  # warm
+        warm = execute_one(cached, platform, CONFIG, 3)
         assert warm.cycles == baseline.cycles
         assert warm.path == baseline.path
 

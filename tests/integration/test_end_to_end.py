@@ -24,6 +24,15 @@ CACHE_KB = 4
 RUNS = 150
 
 
+def fixed_input_cycles(platform, runs):
+    """Distinct cycle counts of ``runs`` scalar runs sharing one input."""
+    runner = CampaignRunner(
+        CampaignConfig(runs=runs, vary_inputs=False), backend="scalar"
+    )
+    result = runner.run(TvcaWorkload(APP_CONFIG), platform)
+    return {record.cycles for record in result.run_details}
+
+
 @pytest.fixture(scope="module")
 def rand_campaign():
     app = TvcaApplication(APP_CONFIG)
@@ -90,23 +99,14 @@ class TestPaperPipeline:
         """On DET, platform randomization contributes nothing: with fixed
         inputs every run takes identical time (the reason MBPTA needs the
         hardware support)."""
-        app = TvcaApplication(APP_CONFIG)
         det = leon3_det(num_cores=1, cache_kb=CACHE_KB)
-        cycles = {
-            app.run_once(det, run_seed=s, input_seed=123).cycles for s in range(5)
-        }
-        assert len(cycles) == 1
+        assert len(fixed_input_cycles(det, runs=5)) == 1
 
     def test_rand_platform_randomization_visible(self):
         """On RAND, fixed inputs still produce execution-time variation
         (placement/replacement randomization at work)."""
-        app = TvcaApplication(APP_CONFIG)
         rand = leon3_rand(num_cores=1, cache_kb=CACHE_KB)
-        cycles = {
-            app.run_once(rand, run_seed=s, input_seed=123).cycles
-            for s in range(12)
-        }
-        assert len(cycles) > 1
+        assert len(fixed_input_cycles(rand, runs=12)) > 1
 
     def test_report_renders(self, analysis):
         report = analysis.report()

@@ -327,6 +327,9 @@ class TestProbeMatchesReference:
         )
         cache = Cache(config, prng=CombinedLfsrPrng(1))
         cache.reseed(seed)
+        filled = []
+        fill = cache.replacement.fill
+        cache.replacement.fill = lambda s, w: (filled.append((s, w)), fill(s, w))
         ref = _RefCache(config, seed)
         for is_write, addr in accesses:
             got = (cache.write if is_write else cache.read)(addr)
@@ -337,6 +340,12 @@ class TestProbeMatchesReference:
         assert cache._tags == ref.tags
         for name, count in ref.counts.items():
             assert getattr(cache.stats, name) == count, name
+        # Policies that keep no fill state are never asked to fill.
+        allocations = ref.counts["read_misses"] + (
+            0 if config.write_through_no_allocate else ref.counts["write_misses"]
+        )
+        needs_fill = cache.replacement.needs_touch
+        assert len(filled) == (allocations if needs_fill else 0)
 
 
 class TestTouchSkipping:

@@ -118,6 +118,9 @@ class TestDictIndex:
     def test_matches_list_scan_reference(self, replacement, seed, pages, flush_at):
         tlb = make_tlb(entries=8, replacement=replacement)
         tlb.reseed(seed)
+        filled = []
+        fill = tlb.replacement.fill
+        tlb.replacement.fill = lambda s, w: (filled.append(w), fill(s, w))
         ref = make_tlb(entries=8, replacement=replacement)
         ref.reseed(seed)
         ref_entries = [None] * 8
@@ -145,6 +148,8 @@ class TestDictIndex:
             self._assert_index_mirrors_entries(tlb)
         assert tlb.stats.misses == misses
         assert tlb.stats.hits == len(pages) - misses
+        # Policies that keep no fill state are never asked to fill.
+        assert len(filled) == (misses if tlb.replacement.needs_touch else 0)
         assert tlb.occupancy() == sum(e is not None for e in ref_entries) / 8
         tlb.flush()
         self._assert_index_mirrors_entries(tlb)

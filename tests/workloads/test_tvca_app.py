@@ -5,11 +5,13 @@ import pytest
 import repro.platform.core as core_module
 from repro.harness.campaign import CampaignConfig
 from repro.platform.batch import numpy_available, run_batch_segments
+from repro.platform.prng import derive_seed
 from repro.platform.soc import leon3_det, leon3_rand
 from repro.platform.trace import InstrKind, Trace
 from repro.programs.compiler import generate_trace
 from repro.programs.layout import link
 from repro.workloads.tvca.app import TvcaApplication, TvcaConfig
+from repro.workloads.tvca.scheduler import simulate_timeline
 from repro.workloads.tvca.tasks import (
     build_actuator_task,
     build_math_helper,
@@ -83,59 +85,66 @@ class TestTaskPrograms:
         assert trace_length(5) > trace_length(1)
 
 
+def default_input(run_seed):
+    """An input seed derived from ``run_seed``."""
+    return derive_seed(run_seed, 0xA11CE)
+
+
+def measure(app, platform, run_seed, input_seed):
+    """One run under the paper's protocol: the plan for ``input_seed``,
+    then a platform reset and one core drain per job.  Returns the plan
+    and the per-job cycle counts."""
+    plan = app.build_plan(input_seed)
+    platform.reset(run_seed)
+    core = platform.cores[0]
+    return plan, [core.execute(trace).cycles for trace in plan.traces]
+
+
 class TestApplication:
-    def test_run_once_reproducible(self, small_app):
+    def test_run_reproducible(self, small_app):
         plat = leon3_rand(num_cores=1)
-        a = small_app.run_once(plat, run_seed=5, input_seed=9)
-        b = small_app.run_once(plat, run_seed=5, input_seed=9)
-        assert a.cycles == b.cycles
-        assert a.path_class == b.path_class
-        assert a.full_signature == b.full_signature
+        a_plan, a_cycles = measure(small_app, plat, run_seed=5, input_seed=9)
+        b_plan, b_cycles = measure(small_app, plat, run_seed=5, input_seed=9)
+        assert a_cycles == b_cycles
+        assert a_plan.path_class == b_plan.path_class
+        assert a_plan.full_signature == b_plan.full_signature
 
     def test_input_seed_changes_inputs(self, small_app):
         plat = leon3_det(num_cores=1)
-        a = small_app.run_once(plat, run_seed=5, input_seed=1)
-        b = small_app.run_once(plat, run_seed=5, input_seed=2)
-        assert a.cycles != b.cycles or a.path_class != b.path_class
-
-    def test_per_task_cycles_sum(self, small_app):
-        plat = leon3_rand(num_cores=1)
-        result = small_app.run_once(plat, run_seed=3)
-        assert sum(result.per_task_cycles.values()) == result.cycles
+        a_plan, a_cycles = measure(small_app, plat, run_seed=5, input_seed=1)
+        b_plan, b_cycles = measure(small_app, plat, run_seed=5, input_seed=2)
+        assert sum(a_cycles) != sum(b_cycles) or a_plan.path_class != b_plan.path_class
 
     def test_all_three_tasks_execute(self, small_app):
         plat = leon3_rand(num_cores=1)
-        result = small_app.run_once(plat, run_seed=3)
-        for name in (
+        plan, cycles = measure(small_app, plat, run_seed=3, input_seed=default_input(3))
+        executed = {job.task.name for job, c in zip(plan.jobs, cycles) if c > 0}
+        assert executed == {
             TvcaApplication.TASK_SENSOR,
             TvcaApplication.TASK_ACT_X,
             TvcaApplication.TASK_ACT_Y,
-        ):
-            assert result.per_task_cycles[name] > 0
+        }
 
     def test_deadlines_met(self, small_app):
         plat = leon3_rand(num_cores=1)
-        result = small_app.run_once(plat, run_seed=8)
-        assert result.deadlines_met
-        assert result.max_response_cycles > 0
+        plan, cycles = measure(small_app, plat, run_seed=8, input_seed=default_input(8))
+        outcomes = simulate_timeline(plan.jobs, dict(zip(plan.jobs, cycles)))
+        assert all(o.deadline_met for o in outcomes)
+        assert max(o.response for o in outcomes) > 0
 
     def test_sensor_runs_twice_per_hyperperiod(self, small_app):
-        plat = leon3_rand(num_cores=1)
-        result = small_app.run_once(plat, run_seed=8)
-        assert result.full_signature.count("sensor_acquisition[") == 2
+        plan = small_app.build_plan(default_input(8))
+        assert plan.full_signature.count("sensor_acquisition[") == 2
 
     def test_path_class_format(self, small_app):
-        plat = leon3_rand(num_cores=1)
-        result = small_app.run_once(plat, run_seed=8)
-        assert result.path_class in ("fault=F", "fault=T")
-        assert result.input_profile.startswith("sx=")
-        assert ";gsx=" in result.input_profile
+        plan = small_app.build_plan(default_input(8))
+        assert plan.path_class in ("fault=F", "fault=T")
+        assert plan.input_profile.startswith("sx=")
+        assert ";gsx=" in plan.input_profile
 
     def test_input_profiles_vary_across_inputs(self, small_app):
-        plat = leon3_rand(num_cores=1)
         profiles = {
-            small_app.run_once(plat, run_seed=i, input_seed=1000 + i).input_profile
-            for i in range(25)
+            small_app.build_plan(1000 + i).input_profile for i in range(25)
         }
         assert len(profiles) > 1
 
@@ -206,12 +215,12 @@ class TestJobTraceMemo:
         assert warm.full_signature == fresh.full_signature
         assert [columns(t) for t in warm.traces] == [columns(t) for t in fresh.traces]
 
-    def test_plan_traces_unchanged_by_run_once(self, small_app):
+    def test_plan_traces_unchanged_by_scalar_execution(self, small_app):
         plan = small_app.build_plan(7)
         before = [columns(t) for t in plan.traces]
         platform = leon3_rand(num_cores=1, cache_kb=4)
-        small_app.run_once(platform, run_seed=3, input_seed=7)
-        small_app.run_once(platform, run_seed=4, input_seed=7)
+        measure(small_app, platform, run_seed=3, input_seed=7)
+        measure(small_app, platform, run_seed=4, input_seed=7)
         replanned = small_app.build_plan(7)
         assert all(a is b for a, b in zip(replanned.traces, plan.traces))
         assert [columns(t) for t in plan.traces] == before
@@ -243,7 +252,8 @@ class TestJobTraceMemo:
         campaign = CampaignConfig(runs=12, vary_inputs=True)
         platform = leon3_rand(num_cores=1, cache_kb=4)
         for run_index in range(campaign.runs):
-            app.run_once(
+            measure(
+                app,
                 platform,
                 campaign.platform_seed(run_index),
                 campaign.input_seed(run_index),
